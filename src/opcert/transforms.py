@@ -29,6 +29,7 @@ WAVELET_FILTERS = {
 }
 
 _BIT_REVERSAL_CACHE: dict[int, np.ndarray] = {}
+_TWIDDLE_CACHE: dict[int, np.ndarray] = {}
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -43,6 +44,16 @@ def _bit_reversal_indices(n: int) -> np.ndarray:
             perm[i] = (perm[i >> 1] >> 1) | ((i & 1) * (n >> 1))
         _BIT_REVERSAL_CACHE[n] = perm
     return perm
+
+
+def _stage_twiddles(m: int) -> np.ndarray:
+    """Twiddles exp(-2*pi*i*j/m), j < m/2, of the radix-2 stage of size m."""
+    twiddle = _TWIDDLE_CACHE.get(m)
+    if twiddle is None:
+        twiddle = np.exp(-2j * np.pi * np.arange(m // 2) / m)
+        twiddle.flags.writeable = False
+        _TWIDDLE_CACHE[m] = twiddle
+    return twiddle
 
 
 def dft_naive(x) -> np.ndarray:
@@ -68,9 +79,8 @@ def fft(x) -> np.ndarray:
     m = 2
     while m <= n:
         half = m // 2
-        twiddle = np.exp(-2j * np.pi * np.arange(half) / m)
         b = a.reshape(a.shape[:-1] + (n // m, m))
-        t = b[..., half:] * twiddle
+        t = b[..., half:] * _stage_twiddles(m)
         hi = b[..., :half] - t
         b[..., :half] += t
         b[..., half:] = hi
@@ -136,8 +146,9 @@ class WaveletDecomp:
         return self.approx.shape[-1] + sum(d.shape[-1] for d in self.details)
 
     def flatten(self) -> np.ndarray:
-        """Concatenate coefficients as [approx, coarsest detail, ..., finest]."""
-        return np.concatenate([self.approx] + list(reversed(self.details)))
+        """Concatenate coefficients along the last axis as
+        [approx, coarsest detail, ..., finest]."""
+        return np.concatenate([self.approx] + list(reversed(self.details)), axis=-1)
 
 
 def _qmf_pair(family: str) -> tuple[np.ndarray, np.ndarray]:
@@ -155,7 +166,13 @@ def _analysis_step(a: np.ndarray, h: np.ndarray, g: np.ndarray):
     taps = len(h)
     idx = (2 * np.arange(n // 2)[:, None] - np.arange(taps)[None, :]) % n
     seg = a[..., idx]
-    return seg @ h, seg @ g
+    if n > 2:
+        # Each row of a batch must round exactly as it does alone: numpy
+        # rounds a multi-row 2-d product the same at any row count, and a
+        # one-row block (n == 2) takes its dot-product path either way.
+        seg = seg.reshape(-1, taps)
+    shape = a.shape[:-1] + (n // 2,)
+    return (seg @ h).reshape(shape), (seg @ g).reshape(shape)
 
 
 def _synthesis_step(approx: np.ndarray, detail: np.ndarray, h: np.ndarray, g: np.ndarray):
@@ -200,12 +217,16 @@ def max_wavelet_levels(n: int, family: str = "haar") -> int:
 
 
 def dwt(x, family: str = "haar", levels: int = 1) -> WaveletDecomp:
-    """Multi-level orthonormal analysis with periodic boundary handling."""
+    """Multi-level orthonormal analysis with periodic boundary handling.
+
+    Transforms along the last axis, so a batch of signals transforms in one
+    call; each row's coefficients equal those of transforming it alone.
+    """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("dwt expects a 1-d signal")
+    if x.ndim == 0:
+        raise ValueError("dwt expects a signal, not a scalar")
     h, g = _qmf_pair(family)
-    _validate_levels(x.shape[0], family, levels)
+    _validate_levels(x.shape[-1], family, levels)
     approx = x
     details = []
     for _ in range(levels):
@@ -215,7 +236,7 @@ def dwt(x, family: str = "haar", levels: int = 1) -> WaveletDecomp:
 
 
 def idwt(decomp: WaveletDecomp) -> np.ndarray:
-    """Perfect-reconstruction synthesis; inverse of ``dwt``."""
+    """Perfect-reconstruction synthesis along the last axis; inverse of ``dwt``."""
     h, g = _qmf_pair(decomp.family)
     if decomp.levels != len(decomp.details):
         raise ValueError("levels field does not match number of detail bands")

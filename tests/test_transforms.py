@@ -177,6 +177,19 @@ def test_analysis_matrix_is_orthonormal(family):
         assert np.max(np.abs(q.T @ q - np.eye(n))) <= 1e-10
 
 
+@pytest.mark.parametrize("family", ["haar", "db4"])
+def test_batched_dwt_rows_equal_single_signals(family):
+    x = np.random.default_rng(4).normal(size=(2, 3, 64))
+    levels = max_wavelet_levels(64, family)
+    batch = dwt(x, family, levels)
+    synth = idwt(batch)
+    assert batch.input_length == 64
+    for idx in np.ndindex(x.shape[:-1]):
+        single = dwt(x[idx], family, levels)
+        assert np.array_equal(batch.flatten()[idx], single.flatten())
+        assert np.array_equal(synth[idx], idwt(single))
+
+
 def test_dwt_rejects_bad_level_length():
     with pytest.raises(ValueError):
         dwt(np.ones(8), "haar", 4)  # 8 / 2^4 not integral
@@ -186,6 +199,8 @@ def test_dwt_rejects_bad_level_length():
         dwt(np.ones(8), "db4", 3)  # block shorter than the filter
     with pytest.raises(ValueError):
         dwt(np.ones(8), "sym9", 1)  # unknown family
+    with pytest.raises(ValueError):
+        dwt(1.0, "haar", 1)  # a scalar is not a signal
 
 
 def test_idwt_rejects_inconsistent_lengths():
