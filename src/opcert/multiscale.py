@@ -97,29 +97,6 @@ def _fourier_units(n: int, k_max: int):
     return heads, weights
 
 
-def _wavelet_slot_mask(decomp, j0: int) -> np.ndarray:
-    """Candidate mask over flattened coefficients: approx + details J0..J."""
-    mask = [np.ones(decomp.approx.shape[0], dtype=bool)]
-    for level in range(decomp.levels, 0, -1):  # flatten order is coarse-first
-        band = decomp.details[level - 1]
-        mask.append(np.full(band.shape[0], level >= j0))
-    return np.concatenate(mask)
-
-
-def _unflatten(decomp, flat):
-    approx_len = decomp.approx.shape[0]
-    bands = []
-    pos = approx_len
-    for level in range(decomp.levels, 0, -1):
-        ln = decomp.details[level - 1].shape[0]
-        bands.append((level, flat[pos:pos + ln]))
-        pos += ln
-    details = [None] * decomp.levels
-    for level, value in bands:
-        details[level - 1] = value
-    return decomp.__class__(decomp.levels, flat[:approx_len], details, decomp.family)
-
-
 class _FourierBasis:
     """Precomputed greedy ordering of Fourier units for one signal."""
 
@@ -168,13 +145,14 @@ def _wavelet_fit(residual, family, j0, j_levels, budget):
     residual; returns (reconstruction, kept count, discarded energy)."""
     decomp = dwt(residual, family, j_levels)
     flat = decomp.flatten()
-    candidates = _wavelet_slot_mask(decomp, j0)
+    # Candidates: the approximation band (level J) and details J0..J.
+    candidates = decomp.slot_levels() >= j0
     mags = np.where(candidates, np.abs(flat), -1.0)
     kept = np.zeros(flat.shape[0], dtype=bool)
     if budget > 0:
         order = np.argsort(-mags, kind="stable")[:budget]
         kept[order[mags[order] >= 0.0]] = True
-    recon = idwt(_unflatten(decomp, np.where(kept, flat, 0.0)))
+    recon = idwt(decomp.unflatten(np.where(kept, flat, 0.0)))
     discarded = float(np.sum(flat[~kept] ** 2))
     return recon, int(np.count_nonzero(kept)), discarded
 
@@ -195,7 +173,7 @@ def _split_errors(f, fourier: _FourierBasis, plan: MultiScalePlan, family: str):
     splits = np.arange(plan.budget + 1)
     prefix = fourier.prefix_length(splits)
     decomp = dwt(f, family, plan.J)
-    candidate = _wavelet_slot_mask(decomp, plan.J0)
+    candidate = decomp.slot_levels() >= plan.J0
     dropped = np.maximum(np.count_nonzero(candidate) - (plan.budget - splits), 0)
     err2 = np.empty(splits.shape[0])
 

@@ -22,15 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import spectral_norm
-from .transforms import (
-    WAVELET_FILTERS,
-    _analysis_step,
-    _is_power_of_two,
-    _qmf_pair,
-    _synthesis_step,
-    fft,
-    inverse_fft,
-)
+from .transforms import WAVELET_FILTERS, WaveletDecomp, dwt, fft, idwt, inverse_fft
 
 ACTIVATION_LIPSCHITZ = {"relu": 1.0, "tanh": 1.0, "sigmoid": 0.25, "identity": 1.0}
 
@@ -117,10 +109,10 @@ class DenseLayer:
     def preactivation(self, x: np.ndarray) -> np.ndarray:
         return x @ self.weight.T + self.bias
 
-    def lipschitz_upper(self, tol=1e-12, max_iter=10000) -> float:
+    def lipschitz_upper(self) -> float:
         if not np.any(self.weight):
             return 0.0
-        return spectral_norm(self.weight, tol, max_iter)
+        return spectral_norm(self.weight)
 
     def scaled(self, factor: float) -> "DenseLayer":
         # Biases do not enter the Lipschitz constant and stay untouched.
@@ -158,7 +150,7 @@ class SpectralLayer:
         if w.shape[0] != w.shape[1]:
             raise ValueError("spectral layer weight must be square")
         n = w.shape[0]
-        if not _is_power_of_two(n):
+        if n < 1 or n & (n - 1):
             raise ValueError("spectral layer grid size must be a power of two")
         if not 1 <= f.shape[0] <= n // 2 + 1:
             raise ValueError(f"filter length must be in [1, {n // 2 + 1}] for grid {n}")
@@ -193,9 +185,9 @@ class SpectralLayer:
     def preactivation(self, x: np.ndarray) -> np.ndarray:
         return x @ self.weight.T + self._multiplier(x)
 
-    def lipschitz_upper(self, tol=1e-12, max_iter=10000) -> float:
+    def lipschitz_upper(self) -> float:
         # Triangle inequality: ||W . + Conv_F|| <= ||W|| + max_k |F_k|.
-        w_norm = 0.0 if not np.any(self.weight) else spectral_norm(self.weight, tol, max_iter)
+        w_norm = 0.0 if not np.any(self.weight) else spectral_norm(self.weight)
         return w_norm + float(np.max(np.abs(self.filt)))
 
     def scaled(self, factor: float) -> "SpectralLayer":
@@ -239,7 +231,9 @@ class WaveletGainLayer:
     One gain per decomposition level, applied to that level's detail band;
     the coarsest approximation band shares the last (coarsest) gain, so the
     layer's operator norm is exactly ``max |gain|`` (the DWT is an
-    isometry).
+    isometry).  The transforms are ``transforms.dwt``/``idwt``, so the
+    input length must be one ``dwt`` accepts for ``len(gains)`` levels of
+    ``family``; other lengths raise ``ValueError``.
     """
 
     gains: np.ndarray
@@ -265,38 +259,13 @@ class WaveletGainLayer:
     def out_dim(self):
         return None
 
-    def _check_length(self, n: int):
-        taps = len(WAVELET_FILTERS[self.family])
-        if not _is_power_of_two(n) or n % (2 ** self.levels) != 0 \
-                or n // 2 ** (self.levels - 1) < taps:
-            raise ValueError(
-                f"input length {n} incompatible with {self.levels}-level "
-                f"{self.family} transform"
-            )
-
-    def _bands(self, x):
-        h, g = _qmf_pair(self.family)
-        approx = x
-        details = []
-        for _ in range(self.levels):
-            approx, d = _analysis_step(approx, h, g)
-            details.append(d)
-        return approx, details
-
-    def _rebuild(self, approx, details):
-        h, g = _qmf_pair(self.family)
-        out = approx
-        for d in reversed(details):
-            out = _synthesis_step(out, d, h, g)
-        return out
-
     def preactivation(self, x: np.ndarray) -> np.ndarray:
-        self._check_length(x.shape[-1])
-        approx, details = self._bands(x)
-        scaled = [self.gains[i] * d for i, d in enumerate(details)]
-        return self._rebuild(self.gains[-1] * approx, scaled)
+        bands = dwt(x, self.family, self.levels)
+        scaled = [gain * d for gain, d in zip(self.gains, bands.details)]
+        return idwt(WaveletDecomp(self.levels, self.gains[-1] * bands.approx,
+                                  scaled, self.family))
 
-    def lipschitz_upper(self, tol=1e-12, max_iter=10000) -> float:
+    def lipschitz_upper(self) -> float:
         return float(np.max(np.abs(self.gains)))
 
     def scaled(self, factor: float) -> "WaveletGainLayer":
@@ -312,12 +281,10 @@ class WaveletGainLayer:
         # The band-scaling operator is symmetric, so the input gradient is
         # the same transform applied to delta.
         grad_in = self.preactivation(delta)
-        xa, xd = self._bands(x)
-        da, dd = self._bands(delta)
-        g = np.empty(self.levels)
-        for i in range(self.levels):
-            g[i] = np.sum(xd[i] * dd[i])
-        g[-1] += np.sum(xa * da)
+        xb = dwt(x, self.family, self.levels)
+        db = dwt(delta, self.family, self.levels)
+        g = np.array([np.sum(xd * dd) for xd, dd in zip(xb.details, db.details)])
+        g[-1] += np.sum(xb.approx * db.approx)
         return grad_in, {"gains": g}
 
 
@@ -399,10 +366,9 @@ def forward(net: OperatorNet, u) -> np.ndarray:
     return forward_batch(net, u[None, :])[0]
 
 
-def certify_lipschitz(net: OperatorNet, tol=1e-12, max_iter=10000,
-                      target_q=None) -> ContractionCertificate:
+def certify_lipschitz(net: OperatorNet, target_q=None) -> ContractionCertificate:
     """Product certificate: bound = prod(layer norms) * prod(activation constants)."""
-    per_layer = tuple(layer.lipschitz_upper(tol, max_iter) for layer in net.layers)
+    per_layer = tuple(layer.lipschitz_upper() for layer in net.layers)
     act = tuple(layer.activation.lipschitz for layer in net.layers)
     bound = 1.0
     for value in per_layer:
@@ -412,8 +378,7 @@ def certify_lipschitz(net: OperatorNet, tol=1e-12, max_iter=10000,
     return ContractionCertificate(per_layer, act, float(bound), target_q)
 
 
-def normalize_to_contraction(net: OperatorNet, q: float,
-                             tol=1e-12, max_iter=10000) -> OperatorNet:
+def normalize_to_contraction(net: OperatorNet, q: float) -> OperatorNet:
     """Rescale each layer so its certified constant is at most q^(1/N).
 
     Layers already under the cap are returned unchanged (the operation is
@@ -431,7 +396,7 @@ def normalize_to_contraction(net: OperatorNet, q: float,
     cap = q ** (1.0 / len(net.layers))
     new_layers = []
     for layer in net.layers:
-        norm = layer.lipschitz_upper(tol, max_iter)
+        norm = layer.lipschitz_upper()
         if norm > cap * (1.0 + _CAP_SLACK):
             layer = layer.scaled(cap * (1.0 - _CAP_SHAVE) / norm)
         new_layers.append(layer)

@@ -28,8 +28,15 @@ WAVELET_FILTERS = {
     "db4": np.array([1.0 + _S3, 3.0 + _S3, 3.0 - _S3, 1.0 - _S3]) / (4.0 * _SQRT2),
 }
 
+# (low-pass, high-pass) analysis filters per family.
+_QMF_PAIRS = {
+    family: (h, h[::-1] * (-1.0) ** np.arange(len(h)))
+    for family, h in WAVELET_FILTERS.items()
+}
+
 _BIT_REVERSAL_CACHE: dict[int, np.ndarray] = {}
 _TWIDDLE_CACHE: dict[int, np.ndarray] = {}
+_ANALYSIS_INDEX_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -145,27 +152,52 @@ class WaveletDecomp:
     def input_length(self) -> int:
         return self.approx.shape[-1] + sum(d.shape[-1] for d in self.details)
 
+    def _band_lengths(self) -> list[int]:
+        """Lengths of the bands in ``flatten`` order."""
+        return [self.approx.shape[-1]] + [d.shape[-1] for d in reversed(self.details)]
+
     def flatten(self) -> np.ndarray:
         """Concatenate coefficients along the last axis as
         [approx, coarsest detail, ..., finest]."""
         return np.concatenate([self.approx] + list(reversed(self.details)), axis=-1)
 
+    def unflatten(self, flat) -> "WaveletDecomp":
+        """Inverse of ``flatten``: ``flat``'s last axis split into this layout."""
+        flat = np.asarray(flat, dtype=np.float64)
+        if flat.ndim == 0 or flat.shape[-1] != self.input_length:
+            raise ValueError(f"expected {self.input_length} coefficients along the last axis")
+        ends = np.cumsum(self._band_lengths()).tolist()
+        bands = [flat[..., start:end] for start, end in zip([0] + ends, ends)]
+        return WaveletDecomp(self.levels, bands[0], bands[:0:-1], self.family)
+
+    def slot_levels(self) -> np.ndarray:
+        """Level of each ``flatten`` slot: j for detail level j (1 = finest),
+        and ``levels`` for the approximation band."""
+        levels = [self.levels] + list(range(self.levels, 0, -1))
+        return np.repeat(levels, self._band_lengths())
+
 
 def _qmf_pair(family: str) -> tuple[np.ndarray, np.ndarray]:
-    if family not in WAVELET_FILTERS:
+    if family not in _QMF_PAIRS:
         raise ValueError(f"unknown wavelet family {family!r}")
-    h = WAVELET_FILTERS[family]
-    taps = len(h)
-    g = np.array([(-1) ** m * h[taps - 1 - m] for m in range(taps)])
-    return h, g
+    return _QMF_PAIRS[family]
+
+
+def _analysis_index(n: int, taps: int) -> np.ndarray:
+    """Circular read positions (2i - m) mod n, i < n/2, m < taps."""
+    idx = _ANALYSIS_INDEX_CACHE.get((n, taps))
+    if idx is None:
+        idx = (2 * np.arange(n // 2)[:, None] - np.arange(taps)[None, :]) % n
+        idx.flags.writeable = False
+        _ANALYSIS_INDEX_CACHE[(n, taps)] = idx
+    return idx
 
 
 def _analysis_step(a: np.ndarray, h: np.ndarray, g: np.ndarray):
     """One level of the periodic analysis bank: y[n] = sum_m f[m] a[(2n-m) % N]."""
     n = a.shape[-1]
     taps = len(h)
-    idx = (2 * np.arange(n // 2)[:, None] - np.arange(taps)[None, :]) % n
-    seg = a[..., idx]
+    seg = a[..., _analysis_index(n, taps)]
     if n > 2:
         # Each row of a batch must round exactly as it does alone: numpy
         # rounds a multi-row 2-d product the same at any row count, and a

@@ -26,7 +26,7 @@ def random_dense_net(rng, dims, activation=TANH, weight_scale=1.0, last_identity
     return OperatorNet(tuple(layers))
 
 
-def random_mixed_net(rng, n, depth=3, activation=TANH):
+def random_mixed_net(rng, n, depth=3, activation=TANH, family="haar"):
     """Mix of dense / spectral / wavelet-gain layers on an n-point grid."""
     layers = []
     for i in range(depth):
@@ -40,7 +40,7 @@ def random_mixed_net(rng, n, depth=3, activation=TANH):
             layers.append(SpectralLayer(rng.normal(size=(n, n)) / (2 * np.sqrt(n)),
                                         filt, activation))
         else:
-            layers.append(WaveletGainLayer(rng.normal(size=2), "haar", activation))
+            layers.append(WaveletGainLayer(rng.normal(size=2), family, activation))
     return OperatorNet(tuple(layers))
 
 

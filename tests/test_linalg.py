@@ -4,64 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opcert.errors import ConvergenceError
-from opcert.linalg import as_mat, as_vec, frobenius_norm, matvec, spectral_norm
-
-
-def _matvec_oracle(m, v):
-    # naive triple-free summation, independent of numpy's @
-    out = [0.0] * len(m)
-    for i, row in enumerate(m):
-        acc = 0.0
-        for j, x in enumerate(row):
-            acc += x * v[j]
-        out[i] = acc
-    return np.array(out)
-
-
-def test_matvec_identity():
-    assert np.array_equal(matvec(np.eye(3), [1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
-
-
-def test_matvec_zero_matrix():
-    assert np.array_equal(matvec(np.zeros((2, 2)), [5.0, 7.0]), [0.0, 0.0])
-
-
-def test_matvec_matches_naive_oracle():
-    rng = np.random.default_rng(7)
-    m = rng.normal(size=(4, 4))
-    v = rng.normal(size=4)
-    assert np.allclose(matvec(m, v), _matvec_oracle(m.tolist(), v.tolist()), atol=1e-12)
-
-
-def test_matvec_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        matvec(np.eye(3), [1.0, 2.0])
+from opcert.linalg import as_mat, spectral_norm
 
 
 def test_vec_mat_validation():
     with pytest.raises(ValueError):
-        as_vec([[1.0, 2.0]])
-    with pytest.raises(ValueError):
-        as_vec([1.0, np.nan])
-    with pytest.raises(ValueError):
         as_mat([1.0, 2.0])
     with pytest.raises(ValueError):
         as_mat([[np.inf]])
-
-
-def test_frobenius_identity():
-    assert frobenius_norm(np.eye(2)) == pytest.approx(np.sqrt(2.0), abs=1e-15)
-
-
-def test_frobenius_345():
-    assert frobenius_norm([[3.0, 4.0], [0.0, 0.0]]) == pytest.approx(5.0, abs=1e-15)
-
-
-def test_frobenius_matches_elementwise_sum():
-    rng = np.random.default_rng(11)
-    m = rng.normal(size=(5, 5))
-    expected = sum(x * x for x in m.ravel().tolist()) ** 0.5
-    assert frobenius_norm(m) == pytest.approx(expected, abs=1e-14)
 
 
 def test_spectral_norm_identity():
@@ -100,6 +50,21 @@ def test_spectral_norm_nonconvergence_carries_estimate():
     assert exc.value.last_estimate is not None
 
 
+@pytest.mark.parametrize("power", [-600, 600])
+def test_spectral_norm_exact_under_power_of_two_scaling(power):
+    # Entries of 2^600 M overflow a squared norm and those of 2^-600 M
+    # fall under the null-space threshold unless M is rescaled first.
+    m = np.random.default_rng(13).normal(size=(6, 6))
+    scale = 2.0 ** power
+    assert spectral_norm(scale * m) == scale * spectral_norm(m)
+    estimates = []
+    for a in (m, scale * m):
+        with pytest.raises(ConvergenceError) as exc:
+            spectral_norm(a, tol=1e-15, max_iter=2)
+        estimates.append(exc.value.last_estimate)
+    assert estimates[1] == scale * estimates[0]
+
+
 def test_spectral_norm_start_vector_null_space_fallback():
     # all-ones start is annihilated; the canonical fallback must recover
     m = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -121,7 +86,7 @@ def test_spectral_norm_absolute_homogeneity(c, seed):
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
 def test_spectral_norm_below_frobenius(seed):
     m = np.random.default_rng(seed).normal(size=(5, 3))
-    assert spectral_norm(m) <= frobenius_norm(m) * (1 + 1e-12)
+    assert spectral_norm(m) <= np.linalg.norm(m, "fro") * (1 + 1e-12)
 
 
 def test_operator_norm_bounds_matvec():

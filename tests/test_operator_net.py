@@ -117,6 +117,25 @@ def test_normalize_per_layer_cap_value(rng):
     assert cert.bound <= 0.5 + 1e-9
 
 
+def _gaussian_dense_net(scale):
+    w = scale * np.random.default_rng(1).normal(size=(16, 16))
+    return OperatorNet((DenseLayer(w, np.zeros(16), TANH),))
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-40, 1e300])
+def test_certificate_at_extreme_weight_scales(scale):
+    net = _gaussian_dense_net(scale)
+    bound = certify_lipschitz(net).bound
+    svd = np.linalg.svd(net.layers[0].weight, compute_uv=False)[0]
+    assert np.isfinite(bound) and bound > 0.0
+    assert bound == pytest.approx(svd, rel=1e-8)
+
+
+def test_normalize_caps_huge_layer():
+    capped = normalize_to_contraction(_gaussian_dense_net(1e300), 0.5)
+    assert np.linalg.svd(capped.layers[0].weight, compute_uv=False)[0] <= 0.5 * (1 + 1e-8)
+
+
 def test_normalize_leaves_satisfying_net_unchanged():
     net = OperatorNet((
         DenseLayer(0.1 * np.eye(4), np.ones(4), RELU),
@@ -199,6 +218,15 @@ def test_wavelet_gain_layer_norm_is_max_gain(rng):
     u = rng.normal(size=32)
     out = forward(net, u)
     assert np.linalg.norm(out) <= 1.7 * np.linalg.norm(u) + 1e-12
+
+
+def test_wavelet_gain_layer_rejects_unanalysable_length():
+    # db4 needs 4 * 2^(levels - 1) points; haar needs a power of two.
+    for layer, n in [(WaveletGainLayer(np.ones(3), "db4"), 8),
+                     (WaveletGainLayer(np.ones(3), "haar"), 4),
+                     (WaveletGainLayer(np.ones(1), "haar"), 12)]:
+        with pytest.raises(ValueError):
+            forward(OperatorNet((layer,)), np.ones(n))
 
 
 def test_spectral_layer_validates_filter_length():

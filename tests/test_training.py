@@ -57,9 +57,10 @@ def test_loss_matches_two_term_oracle(rng):
 
 def test_gradients_match_central_finite_differences():
     h = 1e-5
-    for seed in range(10):
+    # seed 11 gives depth 3, so its last layer is a db4 wavelet-gain layer
+    for seed, family in [(seed, "haar") for seed in range(10)] + [(11, "db4")]:
         rng = np.random.default_rng(seed)
-        net = random_mixed_net(rng, 8, depth=2 + seed % 2)
+        net = random_mixed_net(rng, 8, depth=2 + seed % 2, family=family)
         batch = (rng.normal(size=(4, 8)), rng.normal(size=(4, 8)))
         lam = 1e-3 if seed % 2 else 0.0
         g = grads_to_vector(net, grad(net, batch, lam))

@@ -190,6 +190,24 @@ def test_batched_dwt_rows_equal_single_signals(family):
         assert np.array_equal(synth[idx], idwt(single))
 
 
+@pytest.mark.parametrize("family", ["haar", "db4"])
+def test_flatten_unflatten_round_trips_a_batch(family):
+    x = np.random.default_rng(5).normal(size=(2, 3, 32))
+    decomp = dwt(x, family, max_wavelet_levels(32, family))
+    flat = decomp.flatten()
+    back = decomp.unflatten(flat)
+    assert np.array_equal(back.approx, decomp.approx)
+    assert all(np.array_equal(a, b) for a, b in zip(back.details, decomp.details))
+    assert np.array_equal(back.flatten(), flat)
+    # slot j of the flattened layout belongs to the band whose level it reports
+    levels = decomp.slot_levels()
+    assert np.array_equal(flat[..., levels == 1], decomp.details[0])
+    assert np.array_equal(flat[..., levels == decomp.levels],
+                          np.concatenate((decomp.approx, decomp.details[-1]), axis=-1))
+    with pytest.raises(ValueError):
+        decomp.unflatten(flat[..., 1:])
+
+
 def test_dwt_rejects_bad_level_length():
     with pytest.raises(ValueError):
         dwt(np.ones(8), "haar", 4)  # 8 / 2^4 not integral
