@@ -1,9 +1,11 @@
-"""Command-line entry point.
+"""Command-line entry point: certify, fixpoint, approx, regions, train, amdahl, bench.
 
 Every run writes header-first CSV files plus a single ``manifest.json``
 (resolved configuration, package and interpreter versions, timestamp) into
 the output directory.  Exit codes: 0 success, 1 invalid input or
-configuration, 2 numerical or convergence failure.
+configuration, 2 numerical or convergence failure.  The invariant checks
+against independent oracles live in the test suite;
+``pytest tests/test_acceptance.py -s`` prints one verdict per criterion.
 """
 
 from __future__ import annotations
@@ -27,27 +29,19 @@ from .errors import (
     TrainingDiverged,
     WorkerResultMismatch,
 )
-from . import multiscale, parallel_bench, training
+from . import multiscale, training
 from .capacity import (
     count_regions_1d,
-    count_regions_grid,
     montufar_lower_bound,
     perturbed_net,
     sawtooth_net_1d,
 )
-from .fixed_point import iterate_to_fixed_point, predict_iterations, verify_exponential_bound
+from .fixed_point import iterate_to_fixed_point, verify_exponential_bound
 from .operator_net import (
-    DenseLayer,
-    IDENTITY,
     LAYER_VARIANTS,
-    OperatorNet,
-    RELU,
-    TANH,
     certify_lipschitz,
-    forward,
     load_net,
     normalize_to_contraction,
-    stability_envelope,
 )
 from .parallel_bench import (
     AmdahlModel,
@@ -57,20 +51,7 @@ from .parallel_bench import (
     loglog_slope,
     scaling_study,
 )
-from .training import (
-    GenBoundInput,
-    TrainConfig,
-    apply_dropout,
-    generalization_bound,
-    grad,
-    grads_to_vector,
-    loss_total,
-    make_antiderivative_dataset,
-    params_to_vector,
-    run_experiment,
-    vector_to_net,
-)
-from .transforms import circular_conv_direct, circular_conv_fft, dft_naive, dwt, fft, idwt
+from .training import TrainConfig, make_antiderivative_dataset, run_experiment
 
 _NUMERICAL_ERRORS = (
     ConvergenceError,
@@ -81,13 +62,9 @@ _NUMERICAL_ERRORS = (
 )
 
 
-class _UsageError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _write_csv(path, header, rows):
@@ -115,7 +92,7 @@ def _int_list(text):
     try:
         return [int(part) for part in text.split(",") if part]
     except ValueError as exc:
-        raise _UsageError(f"expected a comma-separated integer list, got {text!r}") from exc
+        raise ValueError(f"expected a comma-separated integer list, got {text!r}") from exc
 
 
 def _make_signal(kind, n, seed):
@@ -129,7 +106,7 @@ def _make_signal(kind, n, seed):
         center = rng.uniform(0.2, 0.8)
         spike = np.exp(-((x - center) ** 2) / (2 * (4.0 / n) ** 2))
         return np.sin(2 * np.pi * x) + spike
-    raise _UsageError(f"unknown signal {kind!r}")
+    raise ValueError(f"unknown signal {kind!r}")
 
 
 # --------------------------------------------------------------------------
@@ -348,189 +325,6 @@ def _cmd_bench(args, out_dir):
     return info
 
 
-def _selftest_checks():
-    rng = np.random.default_rng(0)
-    checks = []
-
-    def check(name, fn):
-        checks.append((name, fn))
-
-    def fft_vs_naive():
-        x = rng.normal(size=64) + 1j * rng.normal(size=64)
-        return np.linalg.norm(fft(x) - dft_naive(x)) <= 1e-9 * np.linalg.norm(dft_naive(x))
-    check("fft matches naive dft", fft_vs_naive)
-
-    def conv_theorem():
-        x, h = rng.normal(size=128), rng.normal(size=128)
-        a, b = circular_conv_fft(x, h), circular_conv_direct(x, h)
-        return np.linalg.norm(a - b) <= 1e-9 * np.linalg.norm(b)
-    check("convolution theorem", conv_theorem)
-
-    def dwt_roundtrip():
-        ok = True
-        for family, levels in (("haar", 5), ("db4", 4)):
-            x = rng.normal(size=64)
-            d = dwt(x, family, levels)
-            ok &= np.linalg.norm(idwt(d) - x) <= 1e-10 * np.linalg.norm(x)
-            energy = np.sum(d.approx ** 2) + sum(np.sum(b ** 2) for b in d.details)
-            ok &= abs(energy - np.sum(x * x)) <= 1e-10 * np.sum(x * x)
-        return ok
-    check("wavelet reconstruction and energy", dwt_roundtrip)
-
-    def spec_norm():
-        from .linalg import spectral_norm
-        m = rng.normal(size=(6, 6))
-        ref = np.linalg.svd(m, compute_uv=False)[0]
-        return abs(spectral_norm(m) - ref) <= 1e-8 * ref
-    check("spectral norm vs svd", spec_norm)
-
-    def cert_sound():
-        layers = tuple(
-            DenseLayer(rng.normal(size=(16, 16)) / 4, rng.normal(size=16), TANH)
-            for _ in range(3)
-        )
-        net = OperatorNet(layers)
-        bound = certify_lipschitz(net).bound
-        u = rng.normal(size=(2000, 16))
-        v = rng.normal(size=(2000, 16))
-        from .operator_net import forward_batch
-        num = np.linalg.norm(forward_batch(net, u) - forward_batch(net, v), axis=1)
-        den = np.linalg.norm(u - v, axis=1)
-        return bool(np.all(num <= bound * den + 1e-9))
-    check("certificate soundness (sampled)", cert_sound)
-
-    def norm_cap():
-        layers = tuple(
-            DenseLayer(rng.normal(size=(8, 8)), rng.normal(size=8), RELU)
-            for _ in range(3)
-        )
-        net = normalize_to_contraction(OperatorNet(layers), 0.8)
-        ok = certify_lipschitz(net).bound <= 0.8 + 1e-9
-        again = normalize_to_contraction(net, 0.8)
-        ok &= all(np.array_equal(a.weight, b.weight)
-                  for a, b in zip(net.layers, again.layers))
-        return ok
-    check("contraction normalization", norm_cap)
-
-    def fixpoint_affine():
-        net = OperatorNet((DenseLayer(np.array([[0.5]]), np.array([1.0]), IDENTITY),))
-        rep = iterate_to_fixed_point(net, np.array([0.0]), 1e-6)
-        ok = abs(rep.fixed_point[0] - 2.0) <= 1e-6
-        ok &= verify_exponential_bound(rep, 0.5, rep.error_trace[0])
-        ok &= predict_iterations(1.0, 1e-3, 0.5) == 10
-        ok &= predict_iterations(1.0, 1e-6, 0.1) == 6
-        return ok
-    check("fixed point iteration", fixpoint_affine)
-
-    def regions():
-        ok = montufar_lower_bound(1, 2, 2) == 4
-        rc = count_regions_1d(sawtooth_net_1d(2, 2), (0.0, 1.0))
-        ok &= rc.count == 4 and rc.count >= rc.montufar_bound
-        w = np.array([[1.0, 0.3], [-0.4, 1.0], [0.8, -1.1]])
-        b = np.array([-0.55, -0.35, 0.12])
-        net2d = OperatorNet((DenseLayer(w, b, RELU),
-                             DenseLayer(np.ones((1, 3)), np.zeros(1), IDENTITY)))
-        ok &= count_regions_grid(net2d, ((0, 1), (0, 1)), 128).count == 7
-        return ok
-    check("linear region counts", regions)
-
-    def multiscale_checks():
-        n = 256
-        x = np.arange(n) / n
-        f = np.sin(2 * np.pi * x)
-        _, rep = multiscale.approximate(
-            f, multiscale.MultiScalePlan(K=1, J0=1, J=4, budget=3), "fourier")
-        ok = rep.l2_error <= 1e-10
-        g = f + np.exp(-((x - 0.37) ** 2) / (2 * (4.0 / n) ** 2))
-        errs = {}
-        for s in multiscale.STRATEGIES:
-            _, r = multiscale.approximate(g, multiscale.full_plan(n, 16), s)
-            errs[s] = r.l2_error
-        ok &= errs["combined"] <= min(errs["fourier"], errs["wavelet"]) + 1e-12
-        ok &= abs(multiscale.decay_exponent(1.0 / np.arange(1, 33)) - 1.0) <= 1e-6
-        return ok
-    check("multiscale approximation", multiscale_checks)
-
-    def training_checks():
-        gb = generalization_bound(GenBoundInput(1.0, 0.05, 100, 0.0))
-        ok = abs(gb - 0.12238734153404082) <= 1e-4
-        net = OperatorNet((
-            DenseLayer(rng.normal(size=(8, 8)) / 3, rng.normal(size=8), TANH),
-            DenseLayer(rng.normal(size=(8, 8)) / 3, np.zeros(8), IDENTITY),
-        ))
-        batch = (rng.normal(size=(4, 8)), rng.normal(size=(4, 8)))
-        g = grads_to_vector(net, grad(net, batch, 1e-3))
-        p0 = params_to_vector(net)
-        h = 1e-5
-        idx = rng.integers(0, p0.size, size=25)
-        fd_ok = True
-        for i in idx:
-            pp, pm = p0.copy(), p0.copy()
-            pp[i] += h
-            pm[i] -= h
-            fd = (loss_total(vector_to_net(net, pp), batch, 1e-3)
-                  - loss_total(vector_to_net(net, pm), batch, 1e-3)) / (2 * h)
-            fd_ok &= abs(fd - g[i]) <= 1e-4 * max(abs(fd), abs(g[i]), 1e-6)
-        ok &= fd_ok
-        hvec = rng.normal(size=64)
-        samples = np.mean(
-            [apply_dropout(hvec, 0.5, rng)[0] for _ in range(10000)], axis=0)
-        ok &= np.max(np.abs(samples - hvec)) <= 0.1 * np.max(np.abs(hvec))
-        return ok
-    check("training gradients and bound", training_checks)
-
-    def amdahl_checks():
-        ok = amdahl_speedup(AmdahlModel(1.0, 7)) == 7.0
-        ok &= amdahl_speedup(AmdahlModel(0.42, 1)) == 1.0
-        ok &= abs(amdahl_speedup(AmdahlModel(0.9, 10)) - 5.2631578947368425) <= 1e-4
-        ok &= abs(amdahl_limit(0.9) - 10.0) <= 1e-9
-        ok &= abs(amdahl_speedup(AmdahlModel(0.9, 10 ** 9)) - amdahl_limit(0.9)) \
-            <= 1e-6 * amdahl_limit(0.9)
-        return ok
-    check("amdahl model", amdahl_checks)
-
-    def envelope():
-        layers = tuple(
-            DenseLayer(rng.normal(size=(8, 8)) / 3, rng.normal(size=8), TANH)
-            for _ in range(2)
-        )
-        net = OperatorNet(layers)
-        cert = certify_lipschitz(net)
-        ok = True
-        for _ in range(20):
-            u = rng.normal(size=8)
-            lhs, rhs = stability_envelope(net, u, cert)
-            ok &= lhs <= rhs + 1e-9
-        lhs0, rhs0 = stability_envelope(net, np.zeros(8), cert)
-        ok &= abs(lhs0 - rhs0) <= 1e-12
-        return ok
-    check("stability envelope", envelope)
-
-    return checks
-
-
-def _cmd_selftest(args, out_dir):
-    failures = 0
-    rows = []
-    for name, fn in _selftest_checks():
-        try:
-            ok = bool(fn())
-        except Exception as exc:  # noqa: BLE001 - a failing check must not abort the suite
-            ok = False
-            print(f"[FAIL] {name}: {exc}")
-        if ok:
-            print(f"[ok]   {name}")
-        else:
-            failures += 1
-            print(f"[FAIL] {name}")
-        rows.append((name, "pass" if ok else "fail"))
-    _write_csv(os.path.join(out_dir, "selftest.csv"), ["check", "result"], rows)
-    if failures:
-        raise ConvergenceError(f"{failures} selftest check(s) failed")
-    print("all selftest checks passed")
-    return {"failures": failures}
-
-
 # --------------------------------------------------------------------------
 
 def _build_parser():
@@ -581,7 +375,6 @@ def _build_parser():
     p.add_argument("--max-pow", type=int, default=14)
     p.add_argument("--repeats-scaling", type=int, default=3)
 
-    sub.add_parser("selftest", help="run the compact invariant suite")
     return parser
 
 
@@ -593,7 +386,6 @@ _HANDLERS = {
     "train": _cmd_train,
     "amdahl": _cmd_amdahl,
     "bench": _cmd_bench,
-    "selftest": _cmd_selftest,
 }
 
 
@@ -609,9 +401,6 @@ def main(argv=None) -> int:
             config["result"] = extra
         _write_manifest(out_dir, args.command, config, args.seed)
         return 0
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -289,7 +289,7 @@ def _partial_report(train_curve, test_curve, bounds, cfg):
     )
 
 
-# Finite-difference support used by tests and the self-check harness.
+# Finite-difference support used by tests.
 
 def params_to_vector(net: OperatorNet) -> np.ndarray:
     chunks = []

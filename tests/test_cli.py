@@ -7,7 +7,7 @@ import pytest
 
 from conftest import random_dense_net
 from opcert.cli import main
-from opcert.operator_net import save_net
+from opcert.operator_net import OperatorNet, WaveletGainLayer, save_net
 
 
 @pytest.fixture
@@ -54,6 +54,20 @@ def test_fixpoint_trace(tmp_path, net_file):
     errors = np.array([float(r[1]) for r in rows[1:]])
     bounds = np.array([float(r[2]) for r in rows[1:]])
     assert np.all(errors <= bounds + 1e-9)
+
+
+def test_fixpoint_out_of_iterations_is_numerical_failure(tmp_path, net_file, capsys):
+    code, _ = _run(tmp_path, "fixpoint", "--net", net_file, "--max-iter", "1")
+    assert code == 2
+    assert capsys.readouterr().err.startswith("numerical failure: no convergence")
+
+
+def test_fixpoint_needs_a_fixed_input_size(tmp_path, capsys):
+    path = tmp_path / "wavelet.json"
+    save_net(OperatorNet((WaveletGainLayer(np.ones(2), "db4"),)), path)
+    code, _ = _run(tmp_path, "fixpoint", "--net", str(path))
+    assert code == 1
+    assert "no fixed input size" in capsys.readouterr().err
 
 
 def test_approx_csv(tmp_path):
@@ -130,6 +144,15 @@ def test_bench_speedup_csv(tmp_path):
     rows = _read_csv(out / "speedup.csv")
     assert rows[0][:2] == ["workers", "effective_workers"]
     assert float(rows[1][3]) == pytest.approx(1.0)
+
+
+def test_bench_scaling_csv(tmp_path):
+    code, out = _run(tmp_path, "bench", "--study", "scaling", "--min-pow", "3",
+                     "--max-pow", "5", "--repeats-scaling", "1")
+    assert code == 0
+    rows = _read_csv(out / "scaling.csv")
+    assert rows[0] == ["n", "t_direct_s", "t_fft_s"]
+    assert [int(row[0]) for row in rows[1:]] == [8, 16, 32]
 
 
 def test_bad_subcommand_is_usage_error(tmp_path):
