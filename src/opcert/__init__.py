@@ -2,7 +2,7 @@
 
 Modules by theme:
 
-* ``linalg``         -- validated matrices, power-iteration spectral norm
+* ``linalg``         -- validated matrices, certified SVD spectral norm
 * ``transforms``     -- radix-2 FFT, circular convolution, orthonormal DWT;
                         the only home of the wavelet filter bank and of the
                         flattened coefficient layout (``WaveletDecomp``)
@@ -18,7 +18,6 @@ Modules by theme:
 __version__ = "0.1.0"
 
 from .errors import (
-    ConvergenceError,
     FixedPointDivergence,
     RegionBudgetExceeded,
     TrainingDiverged,

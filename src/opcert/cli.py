@@ -23,7 +23,6 @@ import numpy as np
 
 from . import __version__
 from .errors import (
-    ConvergenceError,
     FixedPointDivergence,
     RegionBudgetExceeded,
     TrainingDiverged,
@@ -54,7 +53,6 @@ from .parallel_bench import (
 from .training import TrainConfig, make_antiderivative_dataset, run_experiment
 
 _NUMERICAL_ERRORS = (
-    ConvergenceError,
     FixedPointDivergence,
     TrainingDiverged,
     RegionBudgetExceeded,
@@ -134,24 +132,30 @@ def _cmd_certify(args, out_dir):
     return {"bound": cert.bound}
 
 
+def _write_trace(out_dir, report, q):
+    e0 = report.error_trace[0]
+    rows = [(n, f"{err:.17g}", f"{q ** n * e0:.17g}")
+            for n, err in enumerate(report.error_trace)]
+    _write_csv(os.path.join(out_dir, "trace.csv"),
+               ["n", "error", "q_pow_n_bound"], rows)
+
+
 def _cmd_fixpoint(args, out_dir):
     net = load_net(args.net)
-    net = normalize_to_contraction(net, args.q)
-    cert = certify_lipschitz(net, target_q=args.q)
     grid = net.in_dim
     if grid is None:
         raise ValueError("network has no fixed input size; cannot build a start vector")
+    net = normalize_to_contraction(net, args.q)
+    cert = certify_lipschitz(net, target_q=args.q)
     rng = np.random.default_rng(args.seed)
     u0 = np.zeros(grid) if args.u0 == "zeros" else rng.normal(size=grid)
-    report = iterate_to_fixed_point(net, u0, args.eps, args.max_iter, cert)
-    e0 = report.error_trace[0]
-    rows = [
-        (n, f"{err:.17g}", f"{cert.bound ** n * e0:.17g}")
-        for n, err in enumerate(report.error_trace)
-    ]
-    _write_csv(os.path.join(out_dir, "trace.csv"),
-               ["n", "error", "q_pow_n_bound"], rows)
-    ok = verify_exponential_bound(report, cert.bound, e0)
+    try:
+        report = iterate_to_fixed_point(net, u0, args.eps, args.max_iter, cert)
+    except FixedPointDivergence as exc:
+        _write_trace(out_dir, exc.partial_report, cert.bound)
+        raise
+    _write_trace(out_dir, report, cert.bound)
+    ok = verify_exponential_bound(report, cert.bound, report.error_trace[0])
     print(f"certified q: {cert.bound:.6g}")
     print(f"predicted iterations: {report.predicted_n}, actual: {report.iterations_run}")
     print(f"exponential bound holds: {ok}")
@@ -395,8 +399,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         out_dir = args.out or os.path.join("runs", args.command)
         os.makedirs(out_dir, exist_ok=True)
-        extra = _HANDLERS[args.command](args, out_dir)
         config = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
+        try:
+            extra = _HANDLERS[args.command](args, out_dir)
+        except _NUMERICAL_ERRORS as exc:
+            config["failure"] = f"{type(exc).__name__}: {exc}"
+            _write_manifest(out_dir, args.command, config, args.seed)
+            raise
         if extra:
             config["result"] = extra
         _write_manifest(out_dir, args.command, config, args.seed)

@@ -6,14 +6,6 @@ numerical and resource failures that callers may want to catch separately
 """
 
 
-class ConvergenceError(RuntimeError):
-    """An iterative routine ran out of iterations before converging."""
-
-    def __init__(self, message, last_estimate=None):
-        super().__init__(message)
-        self.last_estimate = last_estimate
-
-
 class FixedPointDivergence(RuntimeError):
     """Fixed-point iteration hit the step limit without meeting tolerance."""
 

@@ -367,14 +367,20 @@ def forward(net: OperatorNet, u) -> np.ndarray:
 
 
 def certify_lipschitz(net: OperatorNet, target_q=None) -> ContractionCertificate:
-    """Product certificate: bound = prod(layer norms) * prod(activation constants)."""
+    """Product certificate: bound = prod(layer norms) * prod(activation constants).
+
+    Each multiply of two positive factors is rounded up one ulp, so the
+    bound is never below the exact product and a positive product never
+    certifies as 0.
+    """
     per_layer = tuple(layer.lipschitz_upper() for layer in net.layers)
     act = tuple(layer.activation.lipschitz for layer in net.layers)
     bound = 1.0
-    for value in per_layer:
-        bound *= value
-    for value in act:
-        bound *= value
+    for value in per_layer + act:
+        if bound > 0.0 and value > 0.0:
+            bound = np.nextafter(bound * value, np.inf)
+        else:
+            bound *= value
     return ContractionCertificate(per_layer, act, float(bound), target_q)
 
 

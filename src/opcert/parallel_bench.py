@@ -14,11 +14,13 @@ requests that collapse to the same effective pool share one measurement.
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
 import os
 import statistics
 import time
+import timeit
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +29,12 @@ from .errors import WorkerResultMismatch
 from .transforms import circular_conv_direct, circular_conv_fft
 
 UNBOUNDED_SPEEDUP = math.inf  # sentinel returned by amdahl_limit at P = 1
+
+# Scaling-study timing: shortest timed loop, and the warm-up's agreement
+# tolerance and retry cap.
+_MIN_LOOP_S = 0.02
+_WARMUP_AGREE = 0.2
+_WARMUP_CAP = 10
 
 
 @dataclass(frozen=True)
@@ -188,30 +196,51 @@ def bench_batched_conv(batch, filt, workers, repeats: int = 5):
     return records
 
 
+def _autorange(timer):
+    """Loop count, doubled until one loop takes _MIN_LOOP_S, and its per-call time."""
+    loops = 1
+    while True:
+        elapsed = timer.timeit(loops)
+        if elapsed >= _MIN_LOOP_S:
+            return loops, elapsed / loops
+        loops *= 2
+
+
 def scaling_study(sizes, repeats: int = 3):
-    """Median runtimes of direct vs FFT circular convolution per size."""
+    """Median per-call runtimes of direct vs FFT circular convolution per size.
+
+    Each timing is a loop of at least ``_MIN_LOOP_S``, so a sub-millisecond
+    call is not one clock pair.  The smallest size is retimed until two
+    consecutive timings agree within ``_WARMUP_AGREE`` (at most
+    ``_WARMUP_CAP`` times), because a process's first timings run slow.
+    Repeats are interleaved across sizes so drift hits all of them alike.
+    """
     sizes = [int(n) for n in sizes]
     if sizes != sorted(sizes) or any(n & (n - 1) or n < 2 for n in sizes):
         raise ValueError("sizes must be ascending powers of two")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     rng = np.random.default_rng(20240901)
-    records = []
+    timers = []
     for n in sizes:
         x = rng.normal(size=n)
         h = rng.normal(size=n)
-        circular_conv_direct(x, h)  # warm-up
-        circular_conv_fft(x, h)
-        td, tf = [], []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            circular_conv_direct(x, h)
-            td.append(time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            circular_conv_fft(x, h)
-            tf.append(time.perf_counter() - t0)
-        records.append(ScalingRecord(n, statistics.median(td), statistics.median(tf)))
-    return records
+        timers.append([timeit.Timer(functools.partial(conv, x, h))
+                       for conv in (circular_conv_direct, circular_conv_fft)])
+    prev = None
+    for _ in range(_WARMUP_CAP):
+        cur = [_autorange(timer)[1] for timer in timers[0]]
+        if prev and all(abs(c - p) <= _WARMUP_AGREE * p for c, p in zip(cur, prev)):
+            break
+        prev = cur
+    loops = [[_autorange(timer)[0] for timer in pair] for pair in timers]
+    samples = [([], []) for _ in sizes]
+    for _ in range(repeats):
+        for pair, counts, out in zip(timers, loops, samples):
+            for timer, k, ts in zip(pair, counts, out):
+                ts.append(timer.timeit(k) / k)
+    return [ScalingRecord(n, statistics.median(td), statistics.median(tf))
+            for n, (td, tf) in zip(sizes, samples)]
 
 
 def loglog_slope(ns, ts) -> float:

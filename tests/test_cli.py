@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_dense_net
+from opcert import cli
 from opcert.cli import main
 from opcert.operator_net import OperatorNet, WaveletGainLayer, save_net
 
@@ -68,6 +69,28 @@ def test_fixpoint_needs_a_fixed_input_size(tmp_path, capsys):
     code, _ = _run(tmp_path, "fixpoint", "--net", str(path))
     assert code == 1
     assert "no fixed input size" in capsys.readouterr().err
+
+
+def test_fixpoint_checks_input_size_before_normalizing(tmp_path, monkeypatch):
+    path = tmp_path / "wavelet.json"
+    save_net(OperatorNet((WaveletGainLayer(np.ones(2), "db4"),)), path)
+    calls = []
+    monkeypatch.setattr(cli, "normalize_to_contraction",
+                        lambda *args: calls.append(args))
+    code, _ = _run(tmp_path, "fixpoint", "--net", str(path))
+    assert code == 1
+    assert calls == []
+
+
+def test_fixpoint_failure_keeps_partial_trace_and_manifest(tmp_path, net_file):
+    code, out = _run(tmp_path, "fixpoint", "--net", net_file, "--max-iter", "3")
+    assert code == 2
+    rows = _read_csv(out / "trace.csv")
+    assert rows[0] == ["n", "error", "q_pow_n_bound"]
+    assert len(rows) == 1 + 4
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["failure"].startswith("FixedPointDivergence: no convergence")
+    assert "result" not in manifest["config"]
 
 
 def test_approx_csv(tmp_path):
