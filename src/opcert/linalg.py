@@ -35,11 +35,11 @@ def spectral_norm(m) -> float:
     margin for singular values.  If LAPACK fails to converge, the
     Frobenius norm, which bounds sigma_1 too, takes the place of s.  The
     bound is scaled back and rounded up one ulp, so it is never below
-    sigma_1; it is ``inf`` when it overflows.
+    sigma_1; it is ``inf`` when it overflows and exactly 0 for a zero matrix.
     """
     m = as_mat(m)
     if not np.any(m):
-        raise ValueError("spectral_norm requires a nonzero matrix")
+        return 0.0
     exp = int(np.frexp(np.max(np.abs(m)))[1])
     m = np.ldexp(m, -exp)
     try:

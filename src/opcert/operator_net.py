@@ -4,20 +4,22 @@ A network is an immutable sequence of layers, each an affine-style transform
 followed by an elementwise activation.  Three layer variants are supported:
 
 * ``DenseLayer``         -- W u + b
-* ``SpectralLayer``      -- W u + iFFT(F . FFT(u)), with a learned low-mode
+* ``SpectralLayer``      -- (W + C_F) u, C_F circulant: a learned low-mode
                             frequency filter embedded with conjugate symmetry
                             so real inputs map to real outputs
 * ``WaveletGainLayer``   -- orthonormal DWT, per-level gains, inverse DWT
 
-The certificate multiplies per-layer operator-norm bounds with the
-activation Lipschitz constants; ``normalize_to_contraction`` rescales layers
-so the certified product is at most a target ``q < 1``.
+The certificate multiplies per-layer norms (``spectral_norm`` of the one
+matrix a dense or spectral layer applies, ``max |gain|`` for wavelet gains)
+with the activation Lipschitz constants; ``normalize_to_contraction``
+rescales layers so the certified product is at most a target ``q < 1``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -110,8 +112,6 @@ class DenseLayer:
         return x @ self.weight.T + self.bias
 
     def lipschitz_upper(self) -> float:
-        if not np.any(self.weight):
-            return 0.0
         return spectral_norm(self.weight)
 
     def scaled(self, factor: float) -> "DenseLayer":
@@ -137,7 +137,8 @@ class SpectralLayer:
     ``filt`` holds modes 0..K-1; negative frequencies take the conjugate so
     the multiplier maps real signals to real signals, and retained modes
     beyond the filter length pass with gain zero.  The imaginary parts of
-    the DC (and Nyquist, when present) entries are inert.
+    the DC (and Nyquist, when present) entries are inert.  The multiplier is
+    C_F[i, j] = c[(i - j) mod n] with c = iFFT(F), so ``matrix`` = W + C_F.
     """
 
     weight: np.ndarray
@@ -159,9 +160,7 @@ class SpectralLayer:
     def in_dim(self):
         return self.weight.shape[0]
 
-    @property
-    def out_dim(self):
-        return self.weight.shape[0]
+    out_dim = in_dim  # square
 
     def _full_filter(self) -> np.ndarray:
         n = self.weight.shape[0]
@@ -176,19 +175,22 @@ class SpectralLayer:
             full[n // 2] = self.filt[n // 2].real
         return full
 
-    def _multiplier(self, x: np.ndarray, conjugate=False) -> np.ndarray:
-        full = self._full_filter()
-        if conjugate:
-            full = np.conj(full)
-        return inverse_fft(fft(x) * full).real
+    def _diagonals(self) -> np.ndarray:
+        n = self.weight.shape[0]
+        return (np.arange(n)[:, None] - np.arange(n)) % n
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        kernel = inverse_fft(self._full_filter()).real
+        m = self.weight + kernel[self._diagonals()]
+        m.setflags(write=False)
+        return m
 
     def preactivation(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.weight.T + self._multiplier(x)
+        return x @ self.matrix.T
 
     def lipschitz_upper(self) -> float:
-        # Triangle inequality: ||W . + Conv_F|| <= ||W|| + max_k |F_k|.
-        w_norm = 0.0 if not np.any(self.weight) else spectral_norm(self.weight)
-        return w_norm + float(np.max(np.abs(self.filt)))
+        return spectral_norm(self.matrix)
 
     def scaled(self, factor: float) -> "SpectralLayer":
         return SpectralLayer(self.weight * factor, self.filt * factor, self.activation)
@@ -206,13 +208,11 @@ class SpectralLayer:
     def backward_linear(self, x, delta):
         n = self.weight.shape[0]
         k = self.filt.shape[0]
-        grad_in = delta @ self.weight + self._multiplier(delta, conjugate=True)
-        # d(loss)/d(filter) via spectra of the input and of delta:
-        # s_k = sum_b U_{bk} conj(D_{bk}) pairs each retained mode with its
-        # conjugate twin, giving factor 2 away from DC/Nyquist.
-        u_hat = fft(x)
-        d_hat = fft(delta)
-        s = np.sum(u_hat[..., :k] * np.conj(d_hat[..., :k]), axis=0)
+        g = delta.T @ x
+        # d(loss)/d(filter): r sums G along circulant diagonals; s_k pairs each
+        # retained mode with its conjugate twin, giving factor 2 off DC/Nyquist.
+        r = np.bincount(self._diagonals().ravel(), weights=g.ravel(), minlength=n)
+        s = np.conj(fft(r))[:k]
         g_re = 2.0 * s.real / n
         g_im = -2.0 * s.imag / n
         g_re[0] = s[0].real / n
@@ -220,8 +220,8 @@ class SpectralLayer:
         if k == n // 2 + 1 and n >= 2:
             g_re[-1] = s[-1].real / n
             g_im[-1] = 0.0
-        grads = {"weight": delta.T @ x, "filter_re": g_re, "filter_im": g_im}
-        return grad_in, grads
+        grads = {"weight": g, "filter_re": g_re, "filter_im": g_im}
+        return delta @ self.matrix, grads
 
 
 @dataclass(frozen=True)

@@ -6,14 +6,20 @@ module's work around its public API, so two copies of one algorithm drift
 apart; the check keeps one implementation per job.  An import that nothing
 uses is left over from deleted code, and hides which modules depend on
 which.  ``__init__.py`` is exempt from the second check: it re-exports.
+
+The benchmark's tracer looks opcert's functions up by name in module and
+class dictionaries, so a layer method inherited from a base class or an
+import dropped from ``operator_net`` breaks it; the last check installs it.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import opcert
 
 PACKAGE = Path(opcert.__file__).parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _private_sibling_imports(path):
@@ -79,3 +85,20 @@ def test_unused_import_check_sees_unused_names(tmp_path):
         "probe.py:2 imports os",
         "probe.py:5 imports fft",
     ]
+
+
+def test_perfbench_tracer_wraps_and_restores_every_site(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    sites = [(owner, attr) for owner, attr, _ in tracing.SITES]
+    missing = [f"{owner.__name__}.{attr}" for owner, attr in sites if attr not in vars(owner)]
+    assert not missing, missing
+    originals = [vars(owner)[attr] for owner, attr in sites]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        wrapped = [vars(owner)[attr] for owner, attr in sites]
+    finally:
+        tracer.uninstall()
+    assert not any(w is o for w, o in zip(wrapped, originals))
+    assert all(vars(owner)[attr] is o for (owner, attr), o in zip(sites, originals))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_dense_net, random_mixed_net
 from opcert.operator_net import (
@@ -21,6 +23,7 @@ from opcert.operator_net import (
     save_net,
     stability_envelope,
 )
+from opcert.transforms import fft, inverse_fft
 
 
 def test_activation_lipschitz_constants():
@@ -234,6 +237,73 @@ def test_wavelet_gain_layer_rejects_unanalysable_length():
                      (WaveletGainLayer(np.ones(1), "haar"), 12)]:
         with pytest.raises(ValueError):
             forward(OperatorNet((layer,)), np.ones(n))
+
+
+def _hermitian_filter(filt, n):
+    """Modes 0..n-1 of a filter whose negative modes mirror its positive ones."""
+    half = np.zeros(n // 2 + 1, dtype=complex)
+    half[:filt.size] = filt
+    half[0] = half[0].real
+    if n >= 2:
+        half[n // 2] = half[n // 2].real
+    return np.concatenate([half, np.conj(half[1:n - n // 2][::-1])])
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 64])
+def test_spectral_layer_matrix_matches_fft_multiplier(n):
+    rng = np.random.default_rng(n)
+    w = rng.normal(size=(n, n)) / np.sqrt(n)
+    x = rng.normal(size=(5, n))
+    for k in sorted({1, max(n // 4, 1), n // 2 + 1}):
+        filt = rng.normal(size=k) + 1j * rng.normal(size=k)
+        filt[0] = filt[0].real + 0.5j
+        if k == n // 2 + 1:
+            filt[-1] = filt[-1].real - 0.5j
+        layer = SpectralLayer(w, filt, IDENTITY)
+        oracle = x @ w.T + inverse_fft(fft(x) * _hermitian_filter(filt, n)).real
+        out = layer.preactivation(x)
+        assert np.linalg.norm(out - oracle) <= 1e-12 * np.linalg.norm(oracle), k
+        assert not layer.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            layer.matrix[0, 0] = 1.0
+        svd = np.linalg.svd(layer.matrix, compute_uv=False)[0]
+        certified = layer.lipschitz_upper()
+        assert svd <= certified <= svd * (1 + 1e-12), k
+        triangle = np.linalg.svd(w, compute_uv=False)[0] + np.max(np.abs(filt))
+        assert certified <= triangle, k
+
+
+def test_spectral_certificate_covers_tiny_weight_beside_unit_filter():
+    # ||W|| + max|F_k| = 1 + 1e-20 rounds to exactly 1.0.
+    layer = SpectralLayer(1e-20 * np.eye(4), np.ones(1, dtype=complex), IDENTITY)
+    assert layer.lipschitz_upper() > 1.0
+
+
+_SCALES = st.one_of(st.just(0.0), st.integers(-300, 300).map(lambda e: 10.0 ** e))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(log2_n=st.integers(0, 6), k_seed=st.integers(0, 32),
+       w_scale=_SCALES, f_scale=_SCALES, seed=st.integers(0, 2**32 - 1))
+@example(log2_n=2, k_seed=0, w_scale=1e-20, f_scale=1.0, seed=0)
+@example(log2_n=6, k_seed=32, w_scale=0.0, f_scale=1.0, seed=1)
+@example(log2_n=6, k_seed=32, w_scale=1.0, f_scale=0.0, seed=2)
+@example(log2_n=6, k_seed=32, w_scale=1e300, f_scale=1e-300, seed=3)
+@example(log2_n=6, k_seed=32, w_scale=1e-300, f_scale=1e300, seed=4)
+@example(log2_n=6, k_seed=32, w_scale=1e300, f_scale=1e300, seed=5)
+def test_spectral_certificate_sound_at_adversarial_scales(log2_n, k_seed, w_scale, f_scale, seed):
+    n = 2 ** log2_n
+    k = 1 + k_seed % (n // 2 + 1)
+    rng = np.random.default_rng(seed)
+    w = w_scale * rng.normal(size=(n, n))
+    filt = f_scale * (rng.normal(size=k) + 1j * rng.normal(size=k))
+    net = OperatorNet((SpectralLayer(w, filt, TANH),))
+    certified = certify_lipschitz(net).per_layer_lipschitz[0]
+    svd = np.linalg.svd(net.layers[0].matrix, compute_uv=False)[0]
+    assert np.isfinite(certified)
+    assert svd <= certified
+    capped = normalize_to_contraction(net, 0.5).layers[0]
+    assert np.linalg.svd(capped.matrix, compute_uv=False)[0] <= 0.5
 
 
 def test_spectral_layer_validates_filter_length():

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from opcert.operator_net import (
     TANH,
     DenseLayer,
     OperatorNet,
+    SpectralLayer,
     certify_lipschitz,
 )
 from opcert.training import (
@@ -55,12 +58,24 @@ def test_loss_matches_two_term_oracle(rng):
     assert loss_total(net, (x, y), lam) == pytest.approx(data + lam * penalty, rel=1e-12)
 
 
+def _short_filter_net(rng):
+    # Filter length 3 < 8 // 2 + 1, so the filter has no Nyquist term.
+    filt = (rng.normal(size=3) + 1j * rng.normal(size=3)) / 3
+    return OperatorNet((
+        SpectralLayer(rng.normal(size=(8, 8)) / 4, filt, TANH),
+        DenseLayer(rng.normal(size=(8, 8)) / 3, rng.normal(size=8), IDENTITY),
+    ))
+
+
 def test_gradients_match_central_finite_differences():
     h = 1e-5
+    cases = [(seed, partial(random_mixed_net, n=8, depth=2 + seed % 2)) for seed in range(10)]
     # seed 11 gives depth 3, so its last layer is a db4 wavelet-gain layer
-    for seed, family in [(seed, "haar") for seed in range(10)] + [(11, "db4")]:
+    cases += [(11, partial(random_mixed_net, n=8, depth=3, family="db4")),
+              (12, _short_filter_net)]
+    for seed, make_net in cases:
         rng = np.random.default_rng(seed)
-        net = random_mixed_net(rng, 8, depth=2 + seed % 2, family=family)
+        net = make_net(rng)
         batch = (rng.normal(size=(4, 8)), rng.normal(size=(4, 8)))
         lam = 1e-3 if seed % 2 else 0.0
         g = grads_to_vector(net, grad(net, batch, lam))
