@@ -30,8 +30,6 @@ class RegionCount:
     exact_or_lower: str  # "exact" | "lower"
     count: int
     montufar_bound: int
-    input_dim: int
-    widths: tuple
 
 
 def montufar_lower_bound(n0: int, n: int, depth: int) -> int:
@@ -124,7 +122,7 @@ def count_regions_1d(net: OperatorNet, domain=(-1.0, 1.0),
     widths = tuple(layer.out_dim for layer in net.layers[:-1])
     n_min = min(widths) if widths else 1
     bound = montufar_lower_bound(1, n_min, len(widths)) if (widths and n_min >= 1) else 1
-    return RegionCount("exact", count, bound, 1, widths)
+    return RegionCount("exact", count, bound)
 
 
 def count_regions_grid(net: OperatorNet, domain=((0.0, 1.0), (0.0, 1.0)),
@@ -151,7 +149,7 @@ def count_regions_grid(net: OperatorNet, domain=((0.0, 1.0), (0.0, 1.0)),
     widths = tuple(layer.out_dim for layer in net.layers[:-1])
     n_min = min(widths)
     bound = montufar_lower_bound(2, n_min, len(widths)) if n_min >= 2 else 1
-    return RegionCount("lower", int(count), bound, 2, widths)
+    return RegionCount("lower", int(count), bound)
 
 
 def sawtooth_net_1d(width: int, depth: int) -> OperatorNet:

@@ -64,7 +64,6 @@ class ApproxReport:
     fourier_terms: int
     wavelet_terms: int
     decay_exponent_fourier: float
-    decay_exponent_wavelet: float
 
 
 def decay_exponent(magnitudes) -> float:
@@ -253,7 +252,6 @@ def approximate(f, plan: MultiScalePlan, strategy: str, family: str = "haar"):
         fourier_terms=fourier_terms,
         wavelet_terms=wavelet_terms,
         decay_exponent_fourier=_safe_fourier_exponent(fourier, plan.K),
-        decay_exponent_wavelet=_wavelet_level_exponent(f, family, plan.J),
     )
     return recon, report
 
@@ -265,26 +263,6 @@ def _safe_fourier_exponent(fourier: _FourierBasis, k_max: int) -> float:
         return decay_exponent(mags)
     except ValueError:
         return float("nan")
-
-
-def _wavelet_level_exponent(f, family, levels) -> float:
-    """Exponent s in rms(detail at scale) ~ C * frequency^(-s).
-
-    Detail level ell sits at characteristic frequency N / 2^ell; the fit
-    mirrors the Fourier mode fit but per level band.
-    """
-    decomp = dwt(f, family, levels)
-    freqs, rms = [], []
-    n = f.shape[0]
-    for ell, band in enumerate(decomp.details, start=1):
-        r = float(np.sqrt(np.mean(band ** 2)))
-        if r > 0.0:
-            freqs.append(n / 2.0 ** ell)
-            rms.append(r)
-    if len(freqs) < 3:
-        return float("nan")
-    slope = np.polyfit(np.log(freqs), np.log(rms), 1)[0]
-    return float(-slope)
 
 
 def error_vs_budget_curve(f, budgets, strategy: str, family: str = "haar"):

@@ -2,9 +2,11 @@
 
 The measured study runs FFT-based circular convolutions over a batch
 partitioned statically across a process pool (item ``i`` goes to worker
-``i mod w``).  Wall times are medians over repeated runs on a monotonic
-clock, with one discarded warm-up pass per pool, and results are checked
-bit-identical against the single-worker run after index restore.
+``i mod w``).  Both studies time with one routine: each call is looped
+for at least ``_MIN_LOOP_S``, loops are interleaved across the timed calls,
+and each call's fastest loop is kept.  Each pool runs one untimed pass
+first; its results are checked bit-identical against the single-worker
+run after index restore.
 
 Pools never exceed the machine's CPU count: Amdahl's ``N`` counts
 processors, and oversubscribed pools only add scheduling overhead.  Each
@@ -18,8 +20,6 @@ import functools
 import math
 import multiprocessing
 import os
-import statistics
-import time
 import timeit
 from dataclasses import dataclass
 
@@ -28,13 +28,8 @@ import numpy as np
 from .errors import WorkerResultMismatch
 from .transforms import circular_conv_direct, circular_conv_fft
 
-UNBOUNDED_SPEEDUP = math.inf  # sentinel returned by amdahl_limit at P = 1
-
-# Scaling-study timing: shortest timed loop, and the warm-up's agreement
-# tolerance and retry cap.
+# Shortest timed loop, so a sub-millisecond call is not one clock pair.
 _MIN_LOOP_S = 0.02
-_WARMUP_AGREE = 0.2
-_WARMUP_CAP = 10
 
 
 @dataclass(frozen=True)
@@ -58,11 +53,11 @@ def amdahl_speedup(model: AmdahlModel) -> float:
 
 
 def amdahl_limit(parallel_fraction: float) -> float:
-    """Asymptotic speedup 1 / (1 - P); returns the inf sentinel at P = 1."""
+    """Asymptotic speedup 1 / (1 - P); ``math.inf`` at P = 1."""
     if not 0.0 <= parallel_fraction <= 1.0:
         raise ValueError("parallel fraction must lie in [0, 1]")
     if parallel_fraction == 1.0:
-        return UNBOUNDED_SPEEDUP
+        return math.inf
     return 1.0 / (1.0 - parallel_fraction)
 
 
@@ -118,20 +113,20 @@ def _pool_work(indices):
 
 
 def _run_partitioned(pool, n_workers, batch_size, grid):
-    """One timed pass: dispatch static partitions, join, restore order."""
+    """One pass: dispatch static partitions, join, restore order."""
     parts = [list(range(w, batch_size, n_workers)) for w in range(n_workers)]
-    start = time.perf_counter()
     chunks = pool.map(_pool_work, parts)
     result = np.empty((batch_size, grid))
     for part, chunk in zip(parts, chunks):
         result[part] = chunk
-    elapsed = time.perf_counter() - start
-    return elapsed, result
+    return result
 
 
 def bench_batched_conv(batch, filt, workers, repeats: int = 5):
     """Measure batched-convolution speedups for each requested worker count.
 
+    A record's ``wall_time`` is the fastest of ``repeats`` interleaved
+    timed passes of its pool (see ``_fastest_call_times``).
     Requirements: ``repeats >= 5`` and ``len(batch) >= 4 * max(workers)``.
     Raises ``WorkerResultMismatch`` if any worker count produces results
     that are not bit-identical to the single-worker reference.
@@ -159,28 +154,22 @@ def bench_batched_conv(batch, filt, workers, repeats: int = 5):
         for w in eff_counts
     }
     try:
-        results = {}
-        for w in eff_counts:  # discarded warm-up pass per pool
-            _, results[w] = _run_partitioned(pools[w], w, batch.shape[0], batch.shape[1])
-        times = {w: [] for w in eff_counts}
-        # Interleave repeats across pool sizes so drift hits all of them alike.
-        for _ in range(repeats):
-            for w in eff_counts:
-                t, res = _run_partitioned(pools[w], w, batch.shape[0], batch.shape[1])
-                times[w].append(t)
-                results[w] = res
+        passes = {w: functools.partial(_run_partitioned, pools[w], w, *batch.shape)
+                  for w in eff_counts}
+        # The untimed pass warms each pool and supplies its checked result.
+        results = {w: run() for w, run in passes.items()}
         for w in eff_counts:
             if not np.array_equal(results[w], results[1]):
                 raise WorkerResultMismatch(
                     f"worker count {w} produced results differing from the serial run"
                 )
+        times = dict(zip(eff_counts, _fastest_call_times(passes.values(), repeats)))
     finally:
         for pool in pools.values():
             pool.close()
             pool.join()
 
-    medians = {w: statistics.median(ts) for w, ts in times.items()}
-    speedups = {w: medians[1] / medians[w] for w in eff_counts}
+    speedups = {w: times[1] / times[w] for w in eff_counts}
     fitted = fit_parallel_fraction(eff_counts, [speedups[w] for w in eff_counts])
     records = []
     for w in workers:
@@ -188,7 +177,7 @@ def bench_batched_conv(batch, filt, workers, repeats: int = 5):
         records.append(SpeedupRecord(
             workers=w,
             effective_workers=eff,
-            wall_time=medians[eff],
+            wall_time=times[eff],
             speedup_measured=speedups[eff],
             speedup_predicted=amdahl_speedup(AmdahlModel(fitted, eff)),
             fitted_P=fitted,
@@ -197,23 +186,37 @@ def bench_batched_conv(batch, filt, workers, repeats: int = 5):
 
 
 def _autorange(timer):
-    """Loop count, doubled until one loop takes _MIN_LOOP_S, and its per-call time."""
+    """Loop count, doubled until one loop takes ``_MIN_LOOP_S``."""
     loops = 1
-    while True:
-        elapsed = timer.timeit(loops)
-        if elapsed >= _MIN_LOOP_S:
-            return loops, elapsed / loops
+    while timer.timeit(loops) < _MIN_LOOP_S:
         loops *= 2
+    return loops
+
+
+def _fastest_call_times(calls, repeats):
+    """Fastest per-call time of each callable over ``repeats`` interleaved loops.
+
+    Each callable's loop count is autoranged first; then every round times
+    one loop of each callable in turn, so drift hits all of them alike.
+    The minimum is kept because contention only ever adds time: it
+    estimates the uncontended cost that Amdahl's model and the scaling
+    slopes describe, where a median still carries what the neighbours did.
+    """
+    timers = [timeit.Timer(call) for call in calls]
+    loops = [_autorange(timer) for timer in timers]
+    best = [math.inf] * len(timers)
+    for _ in range(repeats):
+        for i, (timer, k) in enumerate(zip(timers, loops)):
+            best[i] = min(best[i], timer.timeit(k) / k)
+    return best
 
 
 def scaling_study(sizes, repeats: int = 3):
-    """Median per-call runtimes of direct vs FFT circular convolution per size.
+    """Per-call runtimes of direct vs FFT circular convolution per size.
 
-    Each timing is a loop of at least ``_MIN_LOOP_S``, so a sub-millisecond
-    call is not one clock pair.  The smallest size is retimed until two
-    consecutive timings agree within ``_WARMUP_AGREE`` (at most
-    ``_WARMUP_CAP`` times), because a process's first timings run slow.
-    Repeats are interleaved across sizes so drift hits all of them alike.
+    Each runtime is the fastest of ``repeats`` loops interleaved across all
+    sizes and both methods (see ``_fastest_call_times``), so a process's
+    slow first timings and passing contention drop out.
     """
     sizes = [int(n) for n in sizes]
     if sizes != sorted(sizes) or any(n & (n - 1) or n < 2 for n in sizes):
@@ -221,26 +224,15 @@ def scaling_study(sizes, repeats: int = 3):
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     rng = np.random.default_rng(20240901)
-    timers = []
+    calls = []
     for n in sizes:
         x = rng.normal(size=n)
         h = rng.normal(size=n)
-        timers.append([timeit.Timer(functools.partial(conv, x, h))
-                       for conv in (circular_conv_direct, circular_conv_fft)])
-    prev = None
-    for _ in range(_WARMUP_CAP):
-        cur = [_autorange(timer)[1] for timer in timers[0]]
-        if prev and all(abs(c - p) <= _WARMUP_AGREE * p for c, p in zip(cur, prev)):
-            break
-        prev = cur
-    loops = [[_autorange(timer)[0] for timer in pair] for pair in timers]
-    samples = [([], []) for _ in sizes]
-    for _ in range(repeats):
-        for pair, counts, out in zip(timers, loops, samples):
-            for timer, k, ts in zip(pair, counts, out):
-                ts.append(timer.timeit(k) / k)
-    return [ScalingRecord(n, statistics.median(td), statistics.median(tf))
-            for n, (td, tf) in zip(sizes, samples)]
+        calls += [functools.partial(conv, x, h)
+                  for conv in (circular_conv_direct, circular_conv_fft)]
+    times = _fastest_call_times(calls, repeats)
+    return [ScalingRecord(n, td, tf)
+            for n, td, tf in zip(sizes, times[::2], times[1::2])]
 
 
 def loglog_slope(ns, ts) -> float:

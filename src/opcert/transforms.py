@@ -212,11 +212,11 @@ def _synthesis_step(approx: np.ndarray, detail: np.ndarray, h: np.ndarray, g: np
     half = approx.shape[-1]
     n = 2 * half
     out = np.zeros(approx.shape[:-1] + (n,))
-    pos = 2 * np.arange(half)
+    idx = _analysis_index(n, len(h))
     for m in range(len(h)):
         # For fixed m the targets (2n - m) % N are distinct, so a buffered
         # fancy-index accumulate is safe.
-        out[..., (pos - m) % n] += h[m] * approx + g[m] * detail
+        out[..., idx[:, m]] += h[m] * approx + g[m] * detail
     return out
 
 

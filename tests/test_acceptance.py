@@ -193,7 +193,8 @@ def test_criterion_3_transform_oracles():
     ok = fft_ok and conv_ok and recon_ok and parseval_ok and slopes_ok and ratio_ok
     _verdict(3, ok,
              f"fft/conv oracles and Parseval hold; runtime slopes direct "
-             f"{slope_direct:.2f} (>=1.7), fft {slope_fft:.2f} (<=1.4)")
+             f"{slope_direct:.2f} (>=1.7), fft {slope_fft:.2f} (<=1.4); "
+             f"direct/fft ratios {[f'{r:.1f}' for r in ratios]} (rising)")
 
 
 def test_criterion_4_multiscale_dominance():
@@ -333,9 +334,13 @@ def test_criterion_7_amdahl_validation():
     # (WorkerResultMismatch would have been raised otherwise)
 
     ok = exact_ok and value_ok and monotone_ok and fit_ok
+    broken = [name for name, part_ok in (("model values", exact_ok and value_ok),
+                                         ("monotonicity", monotone_ok),
+                                         ("Amdahl fit", fit_ok)) if not part_ok]
     _verdict(7, ok,
              f"model values exact; measured speedups {[f'{s:.2f}' for s in speedups]} "
-             "monotone, bit-identical outputs, Amdahl fit within 30%")
+             "monotone, bit-identical outputs, Amdahl fit within 30%"
+             + (f"; failed: {', '.join(broken)}" if broken else ""))
 
 
 def test_criterion_8_stability_envelope():

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from opcert.parallel_bench import (
     AmdahlModel,
     ScalingRecord,
+    _fastest_call_times,
     amdahl_limit,
     amdahl_speedup,
     bench_batched_conv,
@@ -115,6 +117,20 @@ def test_bench_oversubscribed_workers_share_measurement(rng):
     big = 64  # far beyond any sandbox cpu count
     records = bench_batched_conv(batch, filt, [1, big], repeats=5)
     assert records[1].effective_workers == min(big, os.cpu_count() or 1)
+
+
+def test_fastest_call_times_keeps_the_fastest_round():
+    # The autorange takes the first call, so three of the five timed rounds
+    # are slow; their median would report the slow time.
+    calls = []
+
+    def slow_then_fast():
+        calls.append(None)
+        time.sleep(0.08 if len(calls) <= 4 else 0.025)
+
+    [best] = _fastest_call_times([slow_then_fast], repeats=5)
+    assert len(calls) == 6
+    assert 0.025 <= best < 0.05
 
 
 def test_scaling_study_returns_ascending_records():
