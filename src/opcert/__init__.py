@@ -2,7 +2,8 @@
 
 Modules by theme:
 
-* ``linalg``         -- validated matrices, certified SVD spectral norm
+* ``linalg``         -- validated matrices, certified SVD spectral norm,
+                        Cholesky proof that a norm is under a bound
 * ``transforms``     -- radix-2 FFT, circular convolution, orthonormal DWT;
                         the only home of the wavelet filter bank and of the
                         flattened coefficient layout (``WaveletDecomp``)

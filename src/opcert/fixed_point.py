@@ -1,16 +1,19 @@
 """Banach fixed-point iteration for certified contractions.
 
 The iteration stops on the a-posteriori test ``||u_{n+1} - u_n|| <=
-eps*(1-q)/q``, which guarantees the accepted iterate is within ``eps`` of
-the true fixed point.  After acceptance the iterate is polished further (at
-negligible cost) so the reported error trace measures distances to an
-essentially exact fixed point.
+eps*(1-q)/q``, with the tolerance rounded toward zero, which guarantees
+the accepted iterate is within ``eps`` of the true fixed point.  After
+acceptance the iterate is polished further (at negligible cost) so the
+reported error trace measures distances to an essentially exact fixed
+point.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -37,6 +40,16 @@ def predict_iterations(initial_error: float, eps: float, q: float) -> int:
     if abs(ratio - nearest) <= _CEIL_SNAP * max(1.0, abs(ratio)):
         ratio = nearest
     return int(math.ceil(ratio))
+
+
+def _step_tolerance(eps: float, q: float) -> float:
+    """eps (1 - q) / q rounded toward zero, for 0 < q < 1."""
+    if not math.isfinite(eps):
+        return eps * (1.0 - q) / q
+    exact = min(Fraction(eps) * (1 - Fraction(q)) / Fraction(q),
+                Fraction(sys.float_info.max))
+    tau = float(exact)  # rounded to nearest
+    return math.nextafter(tau, 0.0) if Fraction(tau) > exact else tau
 
 
 @dataclass(frozen=True)
@@ -91,7 +104,7 @@ def iterate_to_fixed_point(net: OperatorNet, u0, eps: float, max_iter: int = 100
     if not q < 1.0:
         raise ValueError(f"certificate bound {q} is not a contraction")
 
-    tau = math.inf if q == 0.0 else eps * (1.0 - q) / q
+    tau = math.inf if q == 0.0 else _step_tolerance(eps, q)
     u = np.asarray(u0, dtype=np.float64)
     iterates = [u]
     n = 0

@@ -10,8 +10,8 @@ followed by an elementwise activation.  Three layer variants are supported:
 * ``WaveletGainLayer``   -- orthonormal DWT, per-level gains, inverse DWT
 
 The certificate multiplies per-layer norms (``spectral_norm`` of the one
-matrix a dense or spectral layer applies, ``max |gain|`` for wavelet gains)
-with the activation Lipschitz constants; ``normalize_to_contraction``
+``matrix`` a dense or spectral layer applies, ``max |gain|`` for wavelet
+gains) with the activation Lipschitz constants; ``normalize_to_contraction``
 rescales layers so the certified product is at most a target ``q < 1``.
 """
 
@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import spectral_norm
+from .linalg import norm_at_most, spectral_norm
 from .transforms import WAVELET_FILTERS, WaveletDecomp, dwt, fft, idwt, inverse_fft
 
 ACTIVATION_LIPSCHITZ = {"relu": 1.0, "tanh": 1.0, "sigmoid": 0.25, "identity": 1.0}
@@ -108,11 +108,15 @@ class DenseLayer:
     def out_dim(self):
         return self.weight.shape[0]
 
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.weight
+
     def preactivation(self, x: np.ndarray) -> np.ndarray:
         return x @ self.weight.T + self.bias
 
     def lipschitz_upper(self) -> float:
-        return spectral_norm(self.weight)
+        return spectral_norm(self.matrix)
 
     def scaled(self, factor: float) -> "DenseLayer":
         # Biases do not enter the Lipschitz constant and stay untouched.
@@ -388,8 +392,11 @@ def normalize_to_contraction(net: OperatorNet, q: float) -> OperatorNet:
     """Rescale each layer so its certified constant is at most q^(1/N).
 
     Layers already under the cap are returned unchanged (the operation is
-    idempotent parameter-wise).  Requires every activation to be
-    1-Lipschitz or better.
+    idempotent parameter-wise).  A layer whose ``matrix`` ``norm_at_most``
+    proves to be under the cap is kept without an SVD.  The SVD path would
+    keep it too, as ``_CAP_SLACK`` is ~400x that path's margin, so the
+    result does not depend on whether the proof succeeds.  Requires every
+    activation to be 1-Lipschitz or better.
     """
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
@@ -402,9 +409,11 @@ def normalize_to_contraction(net: OperatorNet, q: float) -> OperatorNet:
     cap = q ** (1.0 / len(net.layers))
     new_layers = []
     for layer in net.layers:
-        norm = layer.lipschitz_upper()
-        if norm > cap * (1.0 + _CAP_SLACK):
-            layer = layer.scaled(cap * (1.0 - _CAP_SHAVE) / norm)
+        matrix = getattr(layer, "matrix", None)
+        if matrix is None or not norm_at_most(matrix, cap):
+            norm = layer.lipschitz_upper()
+            if norm > cap * (1.0 + _CAP_SLACK):
+                layer = layer.scaled(cap * (1.0 - _CAP_SHAVE) / norm)
         new_layers.append(layer)
     return OperatorNet(tuple(new_layers))
 

@@ -287,36 +287,3 @@ def _partial_report(train_curve, test_curve, bounds, cfg):
         final_gap=float(gap),
         cert_bounds=np.array(bounds) if bounds else None,
     )
-
-
-# Finite-difference support used by tests.
-
-def params_to_vector(net: OperatorNet) -> np.ndarray:
-    chunks = []
-    for layer in net.layers:
-        for key in sorted(layer.params()):
-            chunks.append(layer.params()[key].ravel())
-    return np.concatenate(chunks)
-
-
-def vector_to_net(net: OperatorNet, vec: np.ndarray) -> OperatorNet:
-    all_params = []
-    pos = 0
-    for layer in net.layers:
-        p = {}
-        for key in sorted(layer.params()):
-            ref = layer.params()[key]
-            p[key] = vec[pos:pos + ref.size].reshape(ref.shape)
-            pos += ref.size
-        all_params.append(p)
-    if pos != vec.size:
-        raise ValueError("parameter vector length mismatch")
-    return net.with_layer_params(all_params)
-
-
-def grads_to_vector(net: OperatorNet, grads) -> np.ndarray:
-    chunks = []
-    for layer, g in zip(net.layers, grads):
-        for key in sorted(layer.params()):
-            chunks.append(np.asarray(g[key], dtype=float).ravel())
-    return np.concatenate(chunks)

@@ -44,6 +44,39 @@ def random_mixed_net(rng, n, depth=3, activation=TANH, family="haar"):
     return OperatorNet(tuple(layers))
 
 
+# Flat parameter vectors for finite-difference gradient checks.
+
+def params_to_vector(net):
+    chunks = []
+    for layer in net.layers:
+        for key in sorted(layer.params()):
+            chunks.append(layer.params()[key].ravel())
+    return np.concatenate(chunks)
+
+
+def vector_to_net(net, vec):
+    all_params = []
+    pos = 0
+    for layer in net.layers:
+        p = {}
+        for key in sorted(layer.params()):
+            ref = layer.params()[key]
+            p[key] = vec[pos:pos + ref.size].reshape(ref.shape)
+            pos += ref.size
+        all_params.append(p)
+    if pos != vec.size:
+        raise ValueError("parameter vector length mismatch")
+    return net.with_layer_params(all_params)
+
+
+def grads_to_vector(net, grads):
+    chunks = []
+    for layer, g in zip(net.layers, grads):
+        for key in sorted(layer.params()):
+            chunks.append(np.asarray(g[key], dtype=float).ravel())
+    return np.concatenate(chunks)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

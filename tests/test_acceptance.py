@@ -7,6 +7,7 @@ lines; every tolerance is pinned in the assertions below.
 import numpy as np
 import pytest
 
+from conftest import grads_to_vector, params_to_vector, vector_to_net
 from opcert.capacity import (
     count_regions_1d,
     count_regions_grid,
@@ -48,12 +49,9 @@ from opcert.training import (
     apply_dropout,
     generalization_bound,
     grad,
-    grads_to_vector,
     loss_total,
     make_antiderivative_dataset,
-    params_to_vector,
     run_experiment,
-    vector_to_net,
 )
 from opcert.transforms import (
     circular_conv_direct,

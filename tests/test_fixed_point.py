@@ -1,10 +1,16 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_dense_net
 from opcert.errors import FixedPointDivergence
 from opcert.fixed_point import (
     FixedPointReport,
+    _step_tolerance,
     iterate_to_fixed_point,
     predict_iterations,
     verify_exponential_bound,
@@ -144,3 +150,18 @@ def test_max_iter_exhaustion_carries_partial_report(rng):
     assert partial is not None
     assert partial.iterations_run == 3
     assert len(partial.error_trace) == 4
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(eps=st.floats(min_value=1e-300, max_value=1e300),
+       q=st.floats(min_value=1e-300, max_value=1.0, exclude_max=True))
+def test_step_tolerance_is_the_largest_float_not_above_the_exact_one(eps, q):
+    # The acceptance test d <= tau proves "within eps" only if tau is not
+    # above eps (1 - q) / q; round-to-nearest gives a larger float for
+    # about half of all inputs, and three roundings can also land more
+    # than one float below.
+    exact = Fraction(eps) * (1 - Fraction(q)) / Fraction(q)
+    tau = _step_tolerance(eps, q)
+    assert Fraction(tau) <= exact
+    largest = np.finfo(np.float64).max
+    assert tau == largest or exact < Fraction(math.nextafter(tau, math.inf))

@@ -1,9 +1,12 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from opcert.linalg import as_mat, spectral_norm
+from opcert.linalg import as_mat, norm_at_most, spectral_norm
 
 
 def test_vec_mat_validation():
@@ -105,3 +108,94 @@ def test_operator_norm_bounds_matvec():
     lhs = np.linalg.norm(vs @ m.T, axis=1)
     rhs = sigma * np.linalg.norm(vs, axis=1)
     assert np.all(lhs <= rhs * (1 + 1e-10))
+
+
+def _svd_oracle(m):
+    # numpy's top singular value, computed at the exact power-of-two scale
+    # that keeps 1e+-300 entries away from overflow and underflow.
+    exp = int(np.frexp(np.max(np.abs(m)))[1])
+    return math.ldexp(float(np.linalg.svd(np.ldexp(m, -exp), compute_uv=False)[0]), exp)
+
+
+def _adversarial_matrix(family, n, rng):
+    if family == "near_degenerate":
+        # Top two singular values 1 and 1 - delta, delta down to 1e-12.
+        delta = 10.0 ** rng.uniform(-12.0, -3.0)
+        q1, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        q2, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        s = np.concatenate([[1.0, 1.0 - delta], rng.uniform(0.0, 0.9, n)])[:n]
+        return (q1 * s) @ q2.T
+    if family == "rank_one":
+        return np.outer(rng.normal(size=n), rng.normal(size=n + 3))
+    if family == "vector":
+        return rng.normal(size=(1, n))
+    return rng.normal(size=(n, n + 5))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    family=st.sampled_from(["near_degenerate", "rank_one", "vector", "gaussian"]),
+    n=st.sampled_from([1, 2, 256]),
+    wide=st.booleans(),
+    log10_scale=st.integers(min_value=-300, max_value=300),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_norm_at_most_is_sound_against_the_svd_oracle(family, n, wide, log10_scale, seed):
+    m = _adversarial_matrix(family, n, np.random.default_rng(seed))
+    m = 10.0 ** log10_scale * (m if wide else m.T)
+    sigma = _svd_oracle(m)
+    # 1e-12 is above the SVD's own relative error for n <= 256, so each
+    # t below is under the true sigma_1.
+    for t in (sigma * (1.0 - 1e-12), sigma * 0.5, 0.0, -sigma):
+        assert not norm_at_most(m, t), t
+    assert norm_at_most(m, sigma * (1.0 + 1e-8))
+    assert norm_at_most(m, np.inf)
+
+
+def _exactly_known_matrix(kind, n, rng):
+    """A matrix and its exact sigma_1^2 as a fraction."""
+    if kind == "outer":
+        # Small integers: every entry, and every entry of the Gram matrix,
+        # is exact, so only the Cholesky's rounding is left to cover.
+        u = rng.integers(1, 1025, size=n) * rng.choice([-1, 1], size=n)
+        v = rng.integers(1, 1025, size=n + 3) * rng.choice([-1, 1], size=n + 3)
+        norm2 = sum(int(x) ** 2 for x in u) * sum(int(x) ** 2 for x in v)
+        return np.outer(u, v).astype(np.float64), Fraction(norm2)
+    # A wide range of magnitudes makes the sum of squares round the most.
+    v = rng.normal(size=n) * np.exp(3.0 * rng.normal(size=n))
+    m = v[:, None] if kind == "column" else v[None, :]
+    return m, sum(Fraction(float(x)) ** 2 for x in v)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["row", "column", "outer"]),
+    n=st.sampled_from([1, 2, 256]),
+    log2_scale=st.integers(min_value=-996, max_value=996),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+# Vectors on which norm_at_most with its shift c set to 0 accepted
+# t < sigma_1 (OpenBLAS 0.3.31, x86-64).
+@example(kind="row", n=256, log2_scale=0, seed=206)
+@example(kind="column", n=256, log2_scale=0, seed=206)
+@example(kind="row", n=256, log2_scale=0, seed=353)
+@example(kind="column", n=256, log2_scale=0, seed=353)
+def test_norm_at_most_refuses_the_float_just_below_an_exact_norm(kind, n, log2_scale, seed):
+    # t is the largest float with t^2 < sigma_1^2; 2^+-996 is about 1e+-300.
+    m, exact2 = _exactly_known_matrix(kind, n, np.random.default_rng(seed))
+    m = np.ldexp(m, log2_scale)
+    exact2 *= Fraction(2) ** (2 * log2_scale)
+    t = _svd_oracle(m)
+    while Fraction(t) ** 2 >= exact2:
+        t = math.nextafter(t, 0.0)
+    while Fraction(math.nextafter(t, math.inf)) ** 2 < exact2:
+        t = math.nextafter(t, math.inf)
+    assert not norm_at_most(m, t)
+    assert norm_at_most(m, t * (1.0 + 1e-8))
+
+
+def test_norm_at_most_of_zero_matrix():
+    for shape in [(1, 1), (2, 2), (1, 256), (256, 1)]:
+        assert norm_at_most(np.zeros(shape), 0.0)
+        assert not norm_at_most(np.zeros(shape), -1e-300)
+        assert not norm_at_most(np.zeros(shape), np.nan)

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_dense_net, random_mixed_net
+from opcert import operator_net
 from opcert.operator_net import (
     IDENTITY,
     RELU,
@@ -23,6 +24,7 @@ from opcert.operator_net import (
     save_net,
     stability_envelope,
 )
+from opcert.training import grad
 from opcert.transforms import fft, inverse_fft
 
 
@@ -335,3 +337,52 @@ def test_serialization_rejects_wrong_format():
         net_from_json({"format": "something-else", "version": 1, "layers": []})
     with pytest.raises(ValueError, match="version"):
         net_from_json({"format": "opcert-net", "version": 99, "layers": []})
+
+
+def _assert_same_params(a, b):
+    for layer_a, layer_b in zip(a.layers, b.layers):
+        for key, value in layer_a.params().items():
+            assert np.array_equal(value, layer_b.params()[key]), key
+
+
+def _normalize_both_ways(net, q, monkeypatch):
+    with_proof = normalize_to_contraction(net, q)
+    with monkeypatch.context() as patch:
+        patch.setattr(operator_net, "norm_at_most", lambda m, t: False)
+        svd_only = normalize_to_contraction(net, q)
+    return with_proof, svd_only
+
+
+def test_norm_proof_never_changes_normalization_of_trained_nets(rng, monkeypatch):
+    # Renormalized gradient steps on a mixed net, as in training: each
+    # step's normalization must not depend on whether the proof succeeds.
+    net = random_mixed_net(rng, 32, depth=4)
+    x, y = rng.normal(size=(20, 32)), rng.normal(size=(20, 32))
+    for _ in range(6):
+        net, svd_only = _normalize_both_ways(net, 0.9, monkeypatch)
+        _assert_same_params(net, svd_only)
+        grads = grad(net, (x, y), 1e-3)
+        net = net.with_layer_params([
+            {k: v - 0.5 * g[k] for k, v in layer.params().items()}
+            for layer, g in zip(net.layers, grads)
+        ])
+
+
+@pytest.mark.parametrize("rel", [-1e-6, -1e-11, 1e-11, 1e-6])
+def test_norm_proof_never_changes_normalization_near_the_cap(rel, rng, monkeypatch):
+    # Every matrix layer's sigma_1 is cap (1 + rel): inside and outside
+    # both the proof's reach and _CAP_SLACK.
+    q = 0.7
+    cap = q ** (1.0 / 3.0)
+    filt = rng.normal(size=5) + 1j * rng.normal(size=5)
+    layers = (
+        DenseLayer(rng.normal(size=(64, 64)), rng.normal(size=64), TANH),
+        SpectralLayer(rng.normal(size=(64, 64)), filt, TANH),
+        DenseLayer(rng.normal(size=(48, 64)), rng.normal(size=48), IDENTITY),
+    )
+    net = OperatorNet(tuple(
+        layer.scaled(cap * (1.0 + rel) / np.linalg.svd(layer.matrix, compute_uv=False)[0])
+        for layer in layers
+    ))
+    with_proof, svd_only = _normalize_both_ways(net, q, monkeypatch)
+    _assert_same_params(with_proof, svd_only)

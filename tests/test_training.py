@@ -3,7 +3,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import random_mixed_net
+from conftest import grads_to_vector, params_to_vector, random_mixed_net, vector_to_net
+from opcert import operator_net
 from opcert.errors import TrainingDiverged
 from opcert.operator_net import (
     IDENTITY,
@@ -17,14 +18,12 @@ from opcert.training import (
     GenBoundInput,
     TrainConfig,
     apply_dropout,
+    default_net,
     generalization_bound,
     grad,
-    grads_to_vector,
     loss_total,
     make_antiderivative_dataset,
-    params_to_vector,
     run_experiment,
-    vector_to_net,
     weight_penalty,
 )
 
@@ -232,3 +231,18 @@ def test_config_validation():
         TrainConfig(lambda_wd=-1.0)
     with pytest.raises(ValueError):
         TrainConfig(dropout_p=1.0)
+
+
+def test_renormalized_epoch_takes_svds_only_to_rescale_and_certify(monkeypatch):
+    # Two SVDs rescale the Gaussian init and two certify the epoch; on this
+    # seed no step pushes a layer over the cap, so each of the ten
+    # post-step normalizations is settled by norm_at_most.
+    calls = []
+    spectral_norm = operator_net.spectral_norm
+    monkeypatch.setattr(operator_net, "spectral_norm",
+                        lambda m: calls.append(m.shape) or spectral_norm(m))
+    dataset = make_antiderivative_dataset(n_grid=64, n_train=200, n_test=200, seed=0)
+    cfg = TrainConfig(epochs=1, learning_rate=0.5, lambda_wd=1e-3, batch_size=20,
+                      seed=0, renormalize_q=0.9)
+    run_experiment(dataset, cfg, default_net(64))
+    assert len(calls) <= 4
